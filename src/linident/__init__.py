@@ -65,6 +65,7 @@ from .experiments import (
     SamplingBox,
     TrialConfig,
     draw_sample,
+    evaluate_block,
     evaluate_property,
     mc_estimate,
 )

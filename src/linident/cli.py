@@ -149,9 +149,12 @@ def _run_montecarlo(args) -> None:
     box_vals = _csv_floats(args.box, "--box")
     if box_vals.size != 2:
         raise UsageError(f"--box needs exactly two values, got {args.box!r}")
-    config = TrialConfig(n=args.n, trials=args.trials, seed=args.seed,
-                         box=SamplingBox(float(box_vals[0]), float(box_vals[1])),
-                         success_tol=args.tol, cond_cap=args.cond_cap)
+    try:
+        config = TrialConfig(n=args.n, trials=args.trials, seed=args.seed,
+                             box=SamplingBox(float(box_vals[0]), float(box_vals[1])),
+                             success_tol=args.tol, cond_cap=args.cond_cap)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     report = mc_estimate(args.prop, config)
     doc = report.to_dict()
     doc["format_version"] = io.FORMAT_VERSION

@@ -33,12 +33,13 @@ __all__ = [
 ]
 
 
-def _as_vector(v, n: int | None = None, what: str = "vector") -> np.ndarray:
+def _as_vector(v, n: int | None = None, what: str = "vector",
+               stacked: bool = False) -> np.ndarray:
     x = np.atleast_1d(np.asarray(v, dtype=float))
-    if x.ndim != 1:
+    if x.ndim != 1 and not stacked:
         raise DimensionMismatch(f"{what} must be 1-D, got ndim={x.ndim}")
-    if n is not None and x.size != n:
-        raise DimensionMismatch(f"{what} has length {x.size}, expected {n}")
+    if n is not None and x.shape[-1] != n:
+        raise DimensionMismatch(f"{what} has length {x.shape[-1]}, expected {n}")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{what} entries must be finite")
     return x
@@ -127,37 +128,44 @@ def sample_continuous(sys: SystemSpec, x0, length: int) -> TimeSeries:
 
 
 def _iterate(a, b, c, x, length: int) -> np.ndarray:
-    out = np.empty(length)
+    """Outputs c x_i of x_{i+1} = a x_i (+ b), i < length; leading axes of
+    the operands stack independent systems."""
+    states = np.empty(x.shape[:-1] + (length, x.shape[-1]))
     for i in range(length):
-        out[i] = c @ x
+        states[..., i, :] = x
         if i + 1 < length:
-            x = a @ x if b is None else a @ x + b
-    return out
+            x = np.matvec(a, x) if b is None else np.matvec(a, x) + b
+    return np.vecdot(states, c[..., None, :])
 
 
 def observability_matrix(a, c) -> np.ndarray:
-    """Rows c A^i, i = 0..n-1, built by repeated multiply-accumulate."""
-    a = _as_square(a)
-    n = a.shape[0]
-    row = _as_vector(c, n, "c")
-    q = np.empty((n, n))
+    """Rows c A^i, i = 0..n-1, built by repeated multiply-accumulate.
+
+    Leading axes of ``a`` and ``c`` stack systems; entries are not checked
+    for overflow.
+    """
+    a = _as_square(a, stacked=True)
+    n = a.shape[-1]
+    row = _as_vector(c, n, "c", stacked=True)
+    q = np.empty(np.broadcast_shapes(a.shape[:-2], row.shape[:-1]) + (n, n))
     for i in range(n):
-        q[i] = row
+        q[..., i, :] = row
         if i + 1 < n:
-            row = row @ a
+            row = np.vecmat(row, a)
     return q
 
 
 def krylov_matrix(a, x0) -> np.ndarray:
-    """Columns A^j x0, j = 0..n-1."""
-    a = _as_square(a)
-    n = a.shape[0]
-    col = _as_vector(x0, n, "x0")
-    m = np.empty((n, n))
+    """Columns A^j x0, j = 0..n-1; leading axes stack systems, as for
+    ``observability_matrix``."""
+    a = _as_square(a, stacked=True)
+    n = a.shape[-1]
+    col = _as_vector(x0, n, "x0", stacked=True)
+    m = np.empty(np.broadcast_shapes(a.shape[:-2], col.shape[:-1]) + (n, n))
     for j in range(n):
-        m[:, j] = col
+        m[..., :, j] = col
         if j + 1 < n:
-            col = a @ col
+            col = np.matvec(a, col)
     return m
 
 
@@ -165,7 +173,7 @@ def is_observable(a, c, tol: float = DEFAULT_RANK_TOL) -> tuple[bool, int]:
     """(full-rank flag, numerical rank) of the observability matrix."""
     q = observability_matrix(a, c)
     rank = numerical_rank(q, tol)
-    return rank == q.shape[0], rank
+    return rank == q.shape[-1], rank
 
 
 def output_row_G(a, c) -> np.ndarray:

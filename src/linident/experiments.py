@@ -1,15 +1,20 @@
 """Seeded Monte Carlo estimators for the almost-sure identifiability claims.
 
 Each trial draws (c, A, x0) uniformly from a box and checks one genericity
-property. Randomness is keyed on (seed, trial_index), so trial outcomes are
-independent of execution order and reports are bit-reproducible. Uniform-
-on-box stands in for the Lebesgue-induced law: it is absolutely continuous
-with respect to Lebesgue measure, so full-measure events keep probability 1.
+property. Randomness is keyed on (seed, trial_index), so every draw can be
+regenerated on its own and reports are bit-reproducible. Uniform-on-box
+stands in for the Lebesgue-induced law: it is absolutely continuous with
+respect to Lebesgue measure, so full-measure events keep probability 1.
 
-Floating-point pathology (ill conditioning, pipeline errors) is counted as
-``numerical_rejection``, a third outcome kept separate from mathematical
-failure: the underlying claims are exact-arithmetic statements and must not
-be falsified by rounding.
+Trials are evaluated in blocks of BLOCK draws stacked into (T, n) and
+(T, n, n) arrays: each kernel runs once per block, and every trial gets the
+outcome it gets when evaluated alone (``evaluate_property`` is the block of
+one).
+
+Floating-point pathology (ill conditioning, overflow, pipeline errors) is
+counted as ``numerical_rejection``, a third outcome kept separate from
+mathematical failure: the underlying claims are exact-arithmetic statements
+and must not be falsified by rounding.
 """
 
 from __future__ import annotations
@@ -18,17 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LinIdentError
-from .dynsys import (
-    SystemSpec,
-    char_poly_of_sampled,
-    is_observable,
-    krylov_matrix,
-    sample_continuous,
-    simulate_discrete,
-)
-from .ident import identify
-from .numkit import char_poly, discriminant, numerical_rank
+from .errors import DimensionMismatch
+from .dynsys import _iterate, krylov_matrix, observability_matrix
+from .ident import SINGULAR_CONDITION_CAP, _cap_exceeded, _hankel, _solve_windows
+from .numkit import char_poly, discriminant, mat_exp, numerical_rank
 
 SUCCESS = "success"
 FAILURE = "failure"
@@ -44,6 +42,7 @@ PROPERTIES = (
 
 CONTINUOUS_STEP = 0.01
 DISCRIMINANT_FLOOR = 1e-12
+BLOCK = 128  # trials stacked per kernel call; the largest stack stays under 1 MB
 
 __all__ = [
     "FAILURE",
@@ -54,6 +53,7 @@ __all__ = [
     "SamplingBox",
     "TrialConfig",
     "draw_sample",
+    "evaluate_block",
     "evaluate_property",
     "mc_estimate",
 ]
@@ -97,7 +97,10 @@ class TrialConfig:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Aggregated outcome counts for one property."""
+    """Aggregated outcome counts for one property.
+
+    ``estimate`` is None when no trial was decided.
+    """
 
     property: str
     n: int
@@ -105,12 +108,17 @@ class ExperimentReport:
     successes: int
     failures: int
     numerical_rejections: int
-    estimate: float
+    estimate: float | None
     seed: int
     box: SamplingBox
     success_tol: float
     cond_cap: float
     worst_cases: tuple = ()
+
+    @property
+    def decided(self) -> int:
+        """Trials not numerically rejected: the estimate's denominator."""
+        return self.trials - self.numerical_rejections
 
     def to_dict(self) -> dict:
         return {
@@ -120,6 +128,7 @@ class ExperimentReport:
             "successes": self.successes,
             "failures": self.failures,
             "numerical_rejections": self.numerical_rejections,
+            "decided": self.decided,
             "estimate": self.estimate,
             "seed": self.seed,
             "box": [self.box.lo, self.box.hi],
@@ -140,72 +149,130 @@ def draw_sample(config: TrialConfig, trial_index: int):
         raise ValueError(f"trial_index {trial_index} out of range")
     rng = np.random.default_rng([config.seed, trial_index])
     n = config.n
-    lo, hi = config.box.lo, config.box.hi
-    c = rng.uniform(lo, hi, n)
-    a = rng.uniform(lo, hi, (n, n))
-    x0 = rng.uniform(lo, hi, n)
-    return c, a, x0
+    draw = rng.uniform(config.box.lo, config.box.hi, n + n * n + n)
+    return draw[:n], draw[n:n + n * n].reshape(n, n), draw[n + n * n:]
 
 
 def evaluate_property(prop: str, c, a, x0, config: TrialConfig):
     """(outcome, diagnostics) for one draw; never raises on pipeline errors."""
+    return evaluate_block(prop, np.asarray(c, dtype=float)[None],
+                          np.asarray(a, dtype=float)[None],
+                          np.asarray(x0, dtype=float)[None], config)[0]
+
+
+def evaluate_block(prop: str, c, a, x0, config: TrialConfig) -> list:
+    """(outcome, diagnostics) for each of T stacked draws: c and x0 of shape
+    (T, n), a of shape (T, n, n), with n = config.n.
+
+    Each step runs once on the whole stack. A trial whose intermediate
+    results overflow is a numerical rejection with error "NonFinite"; a
+    trial whose Hankel window exceeds the condition cap is rejected before
+    the solve. So no trial can make the block raise.
+    """
     if prop not in PROPERTIES:
         raise ValueError(f"unknown property {prop!r}")
-    try:
+    c, a, x0 = (np.asarray(v, dtype=float) for v in (c, a, x0))
+    n = config.n
+    if a.shape[1:] != (n, n) or c.shape != (len(a), n) or x0.shape != c.shape:
+        raise DimensionMismatch(f"draws of shapes {c.shape}, {a.shape}, {x0.shape} "
+                                f"for n={n}")
+    with np.errstate(over="ignore", invalid="ignore"):
         if prop == "distinct-eigenvalues":
-            p = char_poly(a)
-            scale = max(1.0, float(np.abs(p.coeffs).max())) ** (2 * config.n - 2)
-            d = discriminant(p) if config.n >= 2 else 1.0
-            ok = abs(d) > DISCRIMINANT_FLOOR * scale
-            return (SUCCESS if ok else FAILURE), {"discriminant": float(d)}
+            return _distinct_eigenvalues(a, n)
         if prop == "observable":
-            flag, rank = is_observable(a, c)
-            return (SUCCESS if flag else FAILURE), {"rank": rank}
+            return _full_rank(observability_matrix(a, c), "observability matrix")
         if prop == "krylov-independent":
-            rank = numerical_rank(krylov_matrix(a, x0))
-            return (SUCCESS if rank == config.n else FAILURE), {"rank": rank}
-        if prop == "end-to-end-identifiable":
-            sys = SystemSpec("discrete", a, c)
-            series = simulate_discrete(sys, x0, 2 * config.n)
-        else:  # end-to-end-continuous
-            sys = SystemSpec("continuous", a, c, step=CONTINUOUS_STEP)
-            series = sample_continuous(sys, x0, 2 * config.n)
-        report = identify(series, config.n)
-        if report.condition_estimate > config.cond_cap:
-            return NUMERICAL_REJECTION, {"condition_estimate": report.condition_estimate}
-        truth = char_poly_of_sampled(sys).coeffs
-        err = float(np.abs(report.model.coeffs - truth).max())
-        rel = err / max(1.0, float(np.abs(truth).max()))
-        outcome = SUCCESS if rel <= config.success_tol else FAILURE
-        return outcome, {"relative_coeff_error": rel,
-                         "condition_estimate": report.condition_estimate}
-    except LinIdentError as exc:
-        return NUMERICAL_REJECTION, {"error": type(exc).__name__, "message": str(exc)}
+            return _full_rank(krylov_matrix(a, x0), "Krylov matrix")
+        return _end_to_end(prop, c, a, x0, config)
+
+
+def _non_finite(what: str) -> tuple:
+    return NUMERICAL_REJECTION, {"error": "NonFinite", "message": f"{what} is not finite"}
+
+
+def _distinct_eigenvalues(a, n: int) -> list:
+    coeffs = char_poly(a)
+    scale = np.maximum(1.0, np.abs(coeffs).max(axis=-1)) ** (2 * n - 2)
+    finite = np.isfinite(coeffs).all(axis=-1) & np.isfinite(scale)
+    d = np.ones(len(a))
+    if n >= 2:
+        d[finite] = discriminant(coeffs[finite])
+        finite &= np.isfinite(d)
+    ok = np.abs(d) > DISCRIMINANT_FLOOR * scale
+    return [((SUCCESS if o else FAILURE), {"discriminant": float(v)}) if f
+            else _non_finite("discriminant")
+            for f, o, v in zip(finite, ok, d)]
+
+
+def _full_rank(m, what: str) -> list:
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    rank = np.zeros(len(m), dtype=int)
+    rank[finite] = numerical_rank(m[finite])
+    n = m.shape[-1]
+    return [((SUCCESS if r == n else FAILURE), {"rank": int(r)}) if f
+            else _non_finite(what)
+            for f, r in zip(finite, rank)]
+
+
+def _end_to_end(prop: str, c, a, x0, config: TrialConfig) -> list:
+    n = config.n
+    sampled = a if prop == "end-to-end-identifiable" else mat_exp(a, CONTINUOUS_STEP)
+    y = _iterate(sampled, None, c, x0, 2 * n)
+    finite = np.isfinite(y).all(axis=-1) & np.isfinite(sampled).all(axis=(-2, -1))
+    sol, cond_finite = _solve_windows(_hankel(y[finite], 0, n), y[finite, n:])
+    truth = char_poly(sampled[finite])
+    err = np.abs(-sol - truth).max(axis=-1)
+    cond = np.full(len(a), np.nan)
+    rel = np.full(len(a), np.nan)
+    cond[finite] = cond_finite
+    rel[finite] = err / np.maximum(1.0, np.abs(truth).max(axis=-1))
+    out = []
+    for f, k, r in zip(finite, cond, rel):
+        if not f:
+            out.append(_non_finite("simulated series"))
+        elif k > SINGULAR_CONDITION_CAP:  # where identify raises SingularHankel
+            out.append((NUMERICAL_REJECTION, {"error": "SingularHankel",
+                                              "message": str(_cap_exceeded("Hankel", k))}))
+        elif k > config.cond_cap:
+            out.append((NUMERICAL_REJECTION, {"condition_estimate": float(k)}))
+        elif not np.isfinite(r):
+            out.append(_non_finite("characteristic polynomial"))
+        else:
+            out.append(((SUCCESS if r <= config.success_tol else FAILURE),
+                        {"relative_coeff_error": float(r), "condition_estimate": float(k)}))
+    return out
 
 
 def mc_estimate(prop: str, config: TrialConfig) -> ExperimentReport:
-    """Run every trial in index order and aggregate the outcome counts.
+    """Evaluate the trials in index-ordered blocks of BLOCK stacked draws
+    and aggregate the outcome counts.
 
     ``estimate`` is successes over mathematically decided trials, i.e.
-    trials minus numerical rejections (0.0 when nothing was decided).
+    trials minus numerical rejections; it is None when nothing was decided.
+    ``worst_cases`` keeps the first ten failures in trial order.
     """
     successes = failures = rejections = 0
     worst = []
-    for i in range(config.trials):
-        c, a, x0 = draw_sample(config, i)
-        outcome, diag = evaluate_property(prop, c, a, x0, config)
-        if outcome == SUCCESS:
-            successes += 1
-        elif outcome == FAILURE:
-            failures += 1
-            if len(worst) < 10:
-                worst.append({"trial_index": i, "c": c.tolist(),
-                              "A": a.tolist(), "x0": x0.tolist(),
-                              "diagnostics": diag})
-        else:
-            rejections += 1
+    n = config.n
+    size = min(BLOCK, config.trials)
+    c, a, x0 = np.empty((size, n)), np.empty((size, n, n)), np.empty((size, n))
+    for start in range(0, config.trials, BLOCK):
+        t = min(BLOCK, config.trials - start)
+        for j in range(t):
+            c[j], a[j], x0[j] = draw_sample(config, start + j)
+        for j, (outcome, diag) in enumerate(evaluate_block(prop, c[:t], a[:t], x0[:t], config)):
+            if outcome == SUCCESS:
+                successes += 1
+            elif outcome == FAILURE:
+                failures += 1
+                if len(worst) < 10:
+                    worst.append({"trial_index": start + j, "c": c[j].tolist(),
+                                  "A": a[j].tolist(), "x0": x0[j].tolist(),
+                                  "diagnostics": diag})
+            else:
+                rejections += 1
     decided = config.trials - rejections
-    estimate = successes / decided if decided > 0 else 0.0
+    estimate = successes / decided if decided > 0 else None
     return ExperimentReport(
         property=prop, n=config.n, trials=config.trials, successes=successes,
         failures=failures, numerical_rejections=rejections, estimate=estimate,

@@ -20,7 +20,6 @@ from .errors import (
     MissingStep,
     NoOrderFound,
     SingularHankel,
-    SingularMatrix,
     ZeroRoot,
 )
 from .dynsys import SystemSpec, TimeSeries, char_poly_of_sampled
@@ -31,7 +30,6 @@ from .numkit import (
     condition_estimate,
     numerical_rank,
     poly_roots,
-    solve_linear,
     sort_complex_lex,
 )
 
@@ -123,8 +121,31 @@ def hankel(series: TimeSeries, k: int, n: int) -> np.ndarray:
     need = k + 2 * n - 1
     if len(series) < need:
         raise InsufficientData(f"need {need} samples for hankel(k={k}, n={n}), have {len(series)}")
-    idx = k + np.arange(n)[:, None] + np.arange(n)[None, :]
-    return series.values[idx]
+    return _hankel(series.values, k, n)
+
+
+def _hankel(y, k: int, n: int) -> np.ndarray:
+    """n x n windows y[..., k+i+j]; leading axes of ``y`` stack series."""
+    return y[..., k + np.arange(n)[:, None] + np.arange(n)]
+
+
+def _solve_windows(h, rhs) -> tuple[np.ndarray, np.ndarray]:
+    """Condition estimates of the stacked square windows h (T, m, m), and
+    the solutions of h x = rhs for the windows within
+    SINGULAR_CONDITION_CAP; the other rows of the solution are NaN.
+
+    Only windows under the cap reach the LU solve, so one singular window
+    never fails the stack.
+    """
+    cond = condition_estimate(h)
+    solved = cond <= SINGULAR_CONDITION_CAP
+    sol = np.full(rhs.shape, np.nan)
+    sol[solved] = np.linalg.solve(h[solved], rhs[solved][..., None])[..., 0]
+    return sol, cond
+
+
+def _cap_exceeded(what: str, cond: float) -> SingularHankel:
+    return SingularHankel(f"{what} condition estimate {cond:.3e} exceeds cap")
 
 
 def identify(series: TimeSeries, n: int, k: int = 0,
@@ -148,17 +169,12 @@ def identify(series: TimeSeries, n: int, k: int = 0,
         sol, *_ = np.linalg.lstsq(h, rhs, rcond=None)
         cond = condition_estimate(h)
         if cond > SINGULAR_CONDITION_CAP:
-            raise SingularHankel(f"window condition estimate {cond:.3e} exceeds cap")
+            raise _cap_exceeded("window", cond)
     else:
-        h = hankel(series, k, n)
-        rhs = y[k + n:k + 2 * n]
-        cond = condition_estimate(h)
+        sol, cond = _solve_windows(hankel(series, k, n)[None], y[None, k + n:k + 2 * n])
+        sol, cond = sol[0], float(cond[0])
         if cond > SINGULAR_CONDITION_CAP:
-            raise SingularHankel(f"Hankel condition estimate {cond:.3e} exceeds cap")
-        try:
-            sol = solve_linear(h, rhs)
-        except SingularMatrix as exc:
-            raise SingularHankel(str(exc)) from exc
+            raise _cap_exceeded("Hankel", cond)
     coeffs = -sol
     model = PredictionModel(coeffs=coeffs, step=series.step)
     residual = _window_residual(y, k, n, coeffs, None)
@@ -180,14 +196,10 @@ def identify_affine(series: TimeSeries, n: int, k: int = 0) -> IdentReport:
     for j in range(n + 1):
         h[j, :n] = y[k + j:k + j + n]
         h[j, n] = 1.0
-    rhs = y[k + n:k + 2 * n + 1]
-    cond = condition_estimate(h)
+    sol, cond = _solve_windows(h[None], y[None, k + n:k + 2 * n + 1])
+    sol, cond = sol[0], float(cond[0])
     if cond > SINGULAR_CONDITION_CAP:
-        raise SingularHankel(f"augmented window condition estimate {cond:.3e} exceeds cap")
-    try:
-        sol = solve_linear(h, rhs)
-    except SingularMatrix as exc:
-        raise SingularHankel(str(exc)) from exc
+        raise _cap_exceeded("augmented window", cond)
     coeffs = -sol[:n]
     offset = float(sol[n])
     model = PredictionModel(coeffs=coeffs, offset=offset, step=series.step)

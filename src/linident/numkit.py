@@ -1,10 +1,16 @@
 """Dense linear-algebra and polynomial kernel.
 
-Everything here is self-contained and deterministic: row-pivoted elimination
-with an explicit pivot floor, Faddeev-LeVerrier characteristic polynomials,
-scaling-and-squaring matrix exponentials and Aberth-style simultaneous root
-iteration. Targets small dense problems (n up to a few tens); no sparsity,
-no extended precision.
+Everything here is deterministic: row-pivoted elimination with an explicit
+pivot floor, Faddeev-LeVerrier characteristic polynomials, scaling-and-
+squaring matrix exponentials, Sylvester-matrix resultants and Aberth-style
+simultaneous root iteration. Targets small dense problems (n up to a few
+tens); no sparsity, no extended precision.
+
+``char_poly``, ``mat_exp``, ``resultant``, ``discriminant``,
+``numerical_rank`` and ``condition_estimate`` also take stacks: leading axes
+in front of the matrix (or coefficient) axes, each slice handled as if it
+were passed alone. A single matrix is the unstacked case and keeps its
+scalar or ``MonicPolynomial`` result.
 """
 
 from __future__ import annotations
@@ -36,21 +42,24 @@ __all__ = [
 ]
 
 
-def as_matrix(a) -> np.ndarray:
-    """Validate and return ``a`` as a 2-D float array with finite entries."""
+def as_matrix(a, stacked: bool = False) -> np.ndarray:
+    """Validate and return ``a`` as a 2-D float array with finite entries.
+
+    With ``stacked=True`` leading axes may stack several matrices.
+    """
     m = np.asarray(a, dtype=float)
-    if m.ndim != 2:
+    if m.ndim != 2 and not (stacked and m.ndim > 2):
         raise DimensionMismatch(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
+    if m.shape[-2] < 1 or m.shape[-1] < 1:
         raise DimensionMismatch(f"empty matrix of shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
 
-def _as_square(a) -> np.ndarray:
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
+def _as_square(a, stacked: bool = False) -> np.ndarray:
+    m = as_matrix(a, stacked)
+    if m.shape[-2] != m.shape[-1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     return m
 
@@ -83,10 +92,6 @@ class MonicPolynomial:
     def __call__(self, x):
         return np.polyval(self.descending(), x)
 
-    def derivative_descending(self) -> np.ndarray:
-        """Descending-order coefficients of the derivative."""
-        return np.polyder(self.descending())
-
 
 def solve_linear(m, rhs) -> np.ndarray:
     """Solve ``m x = rhs`` by Gaussian elimination with partial pivoting.
@@ -116,60 +121,62 @@ def solve_linear(m, rhs) -> np.ndarray:
     return x
 
 
-def _det(m) -> float:
-    """Determinant via the same pivoted elimination; 0.0 on pivot breakdown."""
-    a = _as_square(m).copy()
-    n = a.shape[0]
-    sign = 1.0
-    det = 1.0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[p, k] == 0.0:
-            return 0.0
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            sign = -sign
-        det *= a[k, k]
-        factors = a[k + 1:, k] / a[k, k]
-        a[k + 1:, k:] -= np.outer(factors, a[k, k:])
-    return sign * det
+def _norm1(m) -> np.ndarray:
+    """Max absolute column sum of each matrix in the stack."""
+    return np.abs(m).sum(axis=-2).max(axis=-1)
 
 
 def mat_exp(m, t: float = 1.0) -> np.ndarray:
-    """exp(t*m) by scaling and squaring with a truncated Taylor series."""
-    a = _as_square(m)
+    """exp(t*m) by scaling and squaring with a truncated Taylor series.
+
+    Every matrix of a stack gets its own scaling and its own series length,
+    so a slice comes out as it would alone; one for which t*m overflows
+    comes out NaN.
+    """
+    a = _as_square(m, stacked=True)
     if not np.isfinite(t):
         raise ValueError("t must be finite")
     x = t * a
-    norm1 = np.abs(x).sum(axis=0).max()
-    s = max(0, math.ceil(math.log2(norm1)) + 1) if norm1 > 0 else 0
-    x = x / (2.0 ** s)
-    n = a.shape[0]
-    total = np.eye(n)
-    term = np.eye(n)
+    with np.errstate(divide="ignore"):  # a zero matrix needs no scaling: log2(0) = -inf
+        s = np.maximum(0, np.ceil(np.log2(_norm1(x))) + 1)
+    finite = np.isfinite(s)
+    s = np.where(finite, s, 0).astype(int)
+    x = np.where(finite[..., None, None], x / (2.0 ** s)[..., None, None], np.nan)
+    term = np.broadcast_to(np.eye(a.shape[-1]), a.shape)
+    total = term.copy()
+    active = np.ones(a.shape[:-2], dtype=bool)
+    adding = active[..., None, None]  # a view: follows the updates of active
     for k in range(1, 60):
-        term = term @ x / k
-        total = total + term
-        if np.abs(term).sum(axis=0).max() <= 1e-17 * np.abs(total).sum(axis=0).max():
+        term = term @ x
+        term /= k
+        np.add(total, term, out=total, where=adding)
+        active &= _norm1(term) > 1e-17 * _norm1(total)
+        if not np.count_nonzero(active):
             break
-    for _ in range(s):
-        total = total @ total
+    for j in range(int(s.max(initial=0))):
+        total = np.where((s > j)[..., None, None], total @ total, total)
     return total
 
 
-def char_poly(m) -> MonicPolynomial:
-    """Characteristic polynomial det(lI - m) via Faddeev-LeVerrier."""
-    a = _as_square(m)
-    n = a.shape[0]
-    desc = np.empty(n + 1)
-    desc[0] = 1.0
-    mk = np.eye(n)
+def char_poly(m):
+    """Characteristic polynomial det(lI - m) via Faddeev-LeVerrier.
+
+    A stack of matrices (..., n, n) gives the (..., n) array of ascending
+    coefficients (a_0, ..., a_{n-1}) instead of a MonicPolynomial; its
+    entries are not checked for overflow.
+    """
+    a = _as_square(m, stacked=True)
+    n = a.shape[-1]
+    eye = np.eye(n)
+    desc = np.empty(a.shape[:-1])
+    mk = eye
     for k in range(1, n + 1):
         am = a @ mk
-        ck = -np.trace(am) / k
-        desc[k] = ck
-        mk = am + ck * np.eye(n)
-    return MonicPolynomial(desc[1:][::-1])
+        ck = -np.trace(am, axis1=-2, axis2=-1) / k
+        desc[..., k - 1] = ck
+        mk = am + ck[..., None, None] * eye
+    coeffs = desc[..., ::-1]
+    return MonicPolynomial(coeffs) if a.ndim == 2 else coeffs
 
 
 def companion_matrix(p: MonicPolynomial) -> np.ndarray:
@@ -228,65 +235,79 @@ def sort_complex_lex(z: np.ndarray) -> np.ndarray:
 
 
 def _descending_coeffs(p) -> np.ndarray:
-    """Descending-order coefficient vector of a MonicPolynomial or sequence.
+    """Descending-order coefficients of a MonicPolynomial or of an array.
 
-    Plain sequences are read in ascending order (constant term first).
+    Arrays are read in ascending order (constant term first) along the last
+    axis; leading axes stack polynomials of one degree.
     """
     if isinstance(p, MonicPolynomial):
         return p.descending()
     c = np.atleast_1d(np.asarray(p, dtype=float))
-    if c.ndim != 1 or c.size < 2:
+    if c.shape[-1] < 2:
         raise ValueError("polynomial must have degree >= 1")
-    c = c[::-1]
-    if c[0] == 0.0:
+    c = c[..., ::-1]
+    if np.any(c[..., 0] == 0.0):
         raise ValueError("leading coefficient must be nonzero")
     return c
 
 
-def resultant(p, q) -> float:
+def resultant(p, q):
     """Resultant of two polynomials as the Sylvester-matrix determinant.
 
     ``p`` and ``q`` are MonicPolynomial instances or ascending coefficient
-    sequences (constant term first).
+    arrays (constant term first); stacked arrays give an array of resultants.
     """
     cp = _descending_coeffs(p)
     cq = _descending_coeffs(q)
-    m = cp.size - 1
-    l = cq.size - 1
-    size = m + l
-    s = np.zeros((size, size))
+    m = cp.shape[-1] - 1
+    l = cq.shape[-1] - 1
+    s = np.zeros(np.broadcast_shapes(cp.shape[:-1], cq.shape[:-1]) + (m + l, m + l))
     for i in range(l):
-        s[i, i:i + m + 1] = cp
+        s[..., i, i:i + m + 1] = cp
     for i in range(m):
-        s[l + i, i:i + l + 1] = cq
-    return _det(s)
+        s[..., l + i, i:i + l + 1] = cq
+    det = np.linalg.det(s)
+    return float(det) if s.ndim == 2 else det
 
 
-def discriminant(p: MonicPolynomial) -> float:
-    """Discriminant of a monic polynomial: (-1)^{n(n-1)/2} R(p, p')."""
-    n = p.degree
+def discriminant(p):
+    """Discriminant of a monic polynomial: (-1)^{n(n-1)/2} R(p, p').
+
+    ``p`` is a MonicPolynomial, or a (..., n) array of its ascending
+    coefficients (a_0, ..., a_{n-1}) as ``char_poly`` returns for a stack.
+    """
+    coeffs = p.coeffs if isinstance(p, MonicPolynomial) else np.asarray(p, dtype=float)
+    n = coeffs.shape[-1]
     if n < 2:
         raise ValueError("discriminant requires degree >= 2")
     sign = -1.0 if (n * (n - 1) // 2) % 2 else 1.0
-    der = p.derivative_descending()[::-1]  # ascending for resultant()
-    return sign * resultant(p, der)
+    full = np.concatenate((coeffs, np.ones(coeffs.shape[:-1] + (1,))), axis=-1)
+    der = full[..., 1:] * np.arange(1, n + 1)  # ascending p'
+    return sign * resultant(full, der)
 
 
-def numerical_rank(m, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of singular values above ``tol`` times the largest one."""
+def numerical_rank(m, tol: float = DEFAULT_RANK_TOL):
+    """Number of singular values above ``tol`` times the largest one.
+
+    A stack of matrices gives an integer array of ranks.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    a = as_matrix(m)
+    a = as_matrix(m, stacked=True)
     sv = np.linalg.svd(a, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > tol * sv[0]))
+    rank = np.count_nonzero(sv > tol * sv[..., :1], axis=-1)
+    return int(rank) if a.ndim == 2 else rank
 
 
-def condition_estimate(m) -> float:
-    """2-norm condition number; inf for numerically singular input."""
-    a = as_matrix(m)
+def condition_estimate(m):
+    """2-norm condition number; inf for numerically singular input.
+
+    A stack of matrices gives an array of estimates.
+    """
+    a = as_matrix(m, stacked=True)
     sv = np.linalg.svd(a, compute_uv=False)
-    if sv[-1] == 0.0:
-        return math.inf
-    return float(sv[0] / sv[-1])
+    if a.ndim == 2:
+        return math.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
+    cond = np.full(sv.shape[:-1], math.inf)
+    np.divide(sv[..., 0], sv[..., -1], out=cond, where=sv[..., -1] != 0.0)
+    return cond

@@ -1,0 +1,139 @@
+"""The block evaluator against the per-trial reference.
+
+``reference_evaluate`` is the per-trial evaluation the Monte Carlo engine
+ran before it stacked trials into blocks, written over the single-matrix
+public functions. Every trial must get the same outcome from the block
+evaluator as from this loop.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from linident import (
+    LinIdentError,
+    SamplingBox,
+    SystemSpec,
+    TrialConfig,
+    char_poly,
+    discriminant,
+    draw_sample,
+    evaluate_block,
+    evaluate_property,
+    identify,
+    is_observable,
+    krylov_matrix,
+    mc_estimate,
+    numerical_rank,
+    sample_continuous,
+    simulate_discrete,
+)
+from linident.dynsys import char_poly_of_sampled
+from linident.experiments import (
+    BLOCK,
+    CONTINUOUS_STEP,
+    DISCRIMINANT_FLOOR,
+    FAILURE,
+    NUMERICAL_REJECTION,
+    PROPERTIES,
+    SUCCESS,
+)
+
+SEED = 90
+TRIALS = 300  # crosses a block boundary
+NS = (2, 4, 8, 12)
+
+
+def reference_evaluate(prop, c, a, x0, config):
+    """One trial at a time, as the engine ran before blocks."""
+    try:
+        if prop == "distinct-eigenvalues":
+            p = char_poly(a)
+            scale = max(1.0, float(np.abs(p.coeffs).max())) ** (2 * config.n - 2)
+            d = discriminant(p) if config.n >= 2 else 1.0
+            return SUCCESS if abs(d) > DISCRIMINANT_FLOOR * scale else FAILURE
+        if prop == "observable":
+            return SUCCESS if is_observable(a, c)[0] else FAILURE
+        if prop == "krylov-independent":
+            return SUCCESS if numerical_rank(krylov_matrix(a, x0)) == config.n else FAILURE
+        if prop == "end-to-end-identifiable":
+            sys = SystemSpec("discrete", a, c)
+            series = simulate_discrete(sys, x0, 2 * config.n)
+        else:
+            sys = SystemSpec("continuous", a, c, step=CONTINUOUS_STEP)
+            series = sample_continuous(sys, x0, 2 * config.n)
+        report = identify(series, config.n)
+        if report.condition_estimate > config.cond_cap:
+            return NUMERICAL_REJECTION
+        truth = char_poly_of_sampled(sys).coeffs
+        err = float(np.abs(report.model.coeffs - truth).max())
+        rel = err / max(1.0, float(np.abs(truth).max()))
+        return SUCCESS if rel <= config.success_tol else FAILURE
+    except LinIdentError:
+        return NUMERICAL_REJECTION
+
+
+def stacked(draws):
+    return tuple(np.stack(part) for part in zip(*draws))
+
+
+@pytest.mark.parametrize("n", NS)
+@pytest.mark.parametrize("prop", PROPERTIES)
+def test_blocks_match_reference(prop, n):
+    config = TrialConfig(n=n, trials=TRIALS, seed=SEED)
+    draws = [draw_sample(config, i) for i in range(TRIALS)]
+    expected = [reference_evaluate(prop, *draw, config) for draw in draws]
+    got = []
+    for start in range(0, TRIALS, BLOCK):
+        block = stacked(draws[start:start + BLOCK])
+        got.extend(outcome for outcome, _ in evaluate_block(prop, *block, config))
+    mismatched = [i for i, (e, g) in enumerate(zip(expected, got)) if e != g]
+    assert not mismatched, [(i, expected[i], got[i]) for i in mismatched]
+
+    report = mc_estimate(prop, config)
+    assert (report.successes, report.failures, report.numerical_rejections) == (
+        expected.count(SUCCESS), expected.count(FAILURE), expected.count(NUMERICAL_REJECTION))
+    failed = [i for i, e in enumerate(expected) if e == FAILURE][:10]
+    assert [case["trial_index"] for case in report.worst_cases] == failed
+
+
+def mixed_block(n):
+    """Generic draws plus an exactly singular trial (A = I) and a trial from
+    a box so wide that every property overflows."""
+    config = TrialConfig(n=n, trials=6, seed=SEED)
+    draws = [draw_sample(config, i) for i in range(config.trials)]
+    c, _, x0 = draws[1]
+    draws[1] = (c, np.eye(n), x0)
+    draws[4] = draw_sample(TrialConfig(n=n, trials=1, seed=SEED, box=SamplingBox(-1e200, 1e200)), 0)
+    return config, stacked(draws)
+
+
+@pytest.mark.parametrize("n", (2, 3, 5))
+@pytest.mark.parametrize("prop", PROPERTIES)
+def test_mixed_block_matches_single_trials(prop, n):
+    config, (c, a, x0) = mixed_block(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        block = evaluate_block(prop, c, a, x0, config)
+        alone = [evaluate_property(prop, c[i], a[i], x0[i], config) for i in range(len(a))]
+    assert block == alone
+    assert block[1][0] in (FAILURE, NUMERICAL_REJECTION)
+    assert block[4] == (NUMERICAL_REJECTION, block[4][1])
+    assert block[4][1]["error"] == "NonFinite"
+
+
+def test_singular_trial_outcomes():
+    config, (c, a, x0) = mixed_block(3)
+    assert evaluate_block("distinct-eigenvalues", c, a, x0, config)[1][0] == FAILURE
+    assert evaluate_block("observable", c, a, x0, config)[1] == (FAILURE, {"rank": 1})
+    outcome, diag = evaluate_block("end-to-end-identifiable", c, a, x0, config)[1]
+    assert outcome == NUMERICAL_REJECTION
+    assert diag["error"] == "SingularHankel"
+
+
+def test_block_shape_mismatch_raises():
+    config = TrialConfig(n=3, trials=2)
+    c, a, x0 = stacked([draw_sample(config, i) for i in range(2)])
+    with pytest.raises(LinIdentError):
+        evaluate_block("observable", c, a[:, :2, :2], x0, config)

@@ -165,6 +165,27 @@ class TestMonteCarloCommand:
                            "--n", "3", "--trials", "10", "--box", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("flag, message", [
+        (["--trials", "0"], "trials must be >= 1"),
+        (["--n", "0"], "n must be >= 1"),
+        (["--box=1,0"], "box needs lo < hi"),
+        (["--cond-cap", "0.5"], "cond_cap must exceed 1"),
+    ], ids=["trials", "n", "box", "cond-cap"])
+    def test_invalid_config_exits_two(self, capsys, flag, message):
+        code, out, err = run(capsys, "montecarlo", "--property", "observable",
+                             "--n", "3", "--trials", "10", *flag)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == f"UsageError: {message}"
+        assert "Traceback" not in err
+
+    def test_undecided_run_reports_null_estimate(self, capsys):
+        code, out, _ = run(capsys, "montecarlo", "--property", "end-to-end-continuous",
+                           "--n", "8", "--trials", "20", "--seed", "90")
+        assert code == 0
+        assert '"decided": 0' in out
+        assert '"estimate": null' in out
+
 
 class TestUsage:
     def test_unknown_command_exits_two(self, capsys):

@@ -18,6 +18,7 @@ from linident import (
     sample_continuous,
     simulate_discrete,
 )
+from linident.dynsys import _iterate
 from _util import draw_discrete
 
 
@@ -44,6 +45,29 @@ class TestSimulateDiscrete:
     def test_no_step_recorded(self):
         sys = SystemSpec("discrete", FIB, [1, 0])
         assert simulate_discrete(sys, [1, 1], 4).step is None
+
+
+class TestStackedSystems:
+    """Leading axes stack systems; each slice matches the single-system call."""
+
+    @pytest.fixture
+    def systems(self):
+        rng = np.random.default_rng(31)
+        return rng.uniform(-1, 1, (5, 3, 3)), rng.uniform(-1, 1, (5, 3)), rng.uniform(-1, 1, (5, 3))
+
+    def test_observability_and_krylov(self, systems):
+        a, c, x0 = systems
+        q, m = observability_matrix(a, c), krylov_matrix(a, x0)
+        for i in range(len(a)):
+            np.testing.assert_array_equal(q[i], observability_matrix(a[i], c[i]))
+            np.testing.assert_array_equal(m[i], krylov_matrix(a[i], x0[i]))
+
+    def test_simulation(self, systems):
+        a, c, x0 = systems
+        y = _iterate(a, None, c, x0, 6)
+        for i in range(len(a)):
+            single = simulate_discrete(SystemSpec("discrete", a[i], c[i]), x0[i], 6)
+            np.testing.assert_array_equal(y[i], single.values)
 
 
 class TestSampleContinuous:

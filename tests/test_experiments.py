@@ -130,6 +130,22 @@ class TestMcEstimate:
         tight = mc_estimate("end-to-end-identifiable", config(trials=200, success_tol=1e-10))
         assert loose.successes >= tight.successes
 
+    def test_nothing_decided_gives_null_estimate(self):
+        # every trial of the n=8 continuous cell exceeds the Hankel condition cap
+        report = mc_estimate("end-to-end-continuous", TrialConfig(n=8, trials=50, seed=90))
+        assert report.numerical_rejections == 50
+        assert report.decided == 0
+        assert report.estimate is None
+        doc = report.to_dict()
+        assert doc["decided"] == 0
+        assert doc["estimate"] is None
+
+    def test_decided_count(self):
+        report = mc_estimate("end-to-end-identifiable", config(trials=200))
+        assert report.decided == report.trials - report.numerical_rejections
+        assert report.to_dict()["decided"] == report.decided
+        assert report.estimate == report.successes / report.decided
+
     def test_measure_one_algebraic_properties(self):
         # smaller trial count here; the full 1e4-draw sweep runs in acceptance
         for prop in ("distinct-eigenvalues", "observable", "krylov-independent"):

@@ -214,3 +214,62 @@ class TestNumericalRank:
 
     def test_zero_matrix(self):
         assert numerical_rank(np.zeros((3, 2))) == 0
+
+
+class TestStackedKernels:
+    """A stack of matrices gives each slice exactly its single-matrix result."""
+
+    @pytest.fixture
+    def stack(self):
+        rng = np.random.default_rng(21)
+        m = rng.uniform(-1, 1, (7, 4, 4))
+        m[2] *= 40.0  # needs squaring steps the others do not
+        m[5] = np.eye(4)  # repeated eigenvalue, singular difference
+        return m
+
+    def test_char_poly(self, stack):
+        coeffs = char_poly(stack)
+        assert coeffs.shape == (7, 4)
+        for m, row in zip(stack, coeffs):
+            np.testing.assert_array_equal(row, char_poly(m).coeffs)
+
+    def test_discriminant(self, stack):
+        d = discriminant(char_poly(stack))
+        for m, v in zip(stack, d):
+            assert v == discriminant(char_poly(m))
+        assert d[5] == pytest.approx(0.0, abs=1e-12)
+
+    def test_resultant(self):
+        p = np.array([[-1.0, 0.0, 1.0], [1.0, -2.0, 1.0]])
+        np.testing.assert_allclose(resultant(p, [0.0, 1.0]), [-1.0, 1.0], atol=1e-12)
+
+    def test_mat_exp(self, stack):
+        # sparse slices over many scales stop their series after different terms
+        rng = np.random.default_rng(22)
+        sparse = rng.uniform(-1, 1, (32, 5, 5)) * (rng.uniform(size=(32, 5, 5)) < 0.6)
+        for m in (stack, sparse * 10.0 ** rng.uniform(-12, 1, (32, 1, 1))):
+            e = mat_exp(m, 0.7)
+            for one, v in zip(m, e):
+                np.testing.assert_array_equal(v, mat_exp(one, 0.7))
+
+    def test_mat_exp_overflow_is_nan_only_in_its_slice(self, stack):
+        stack[3] *= 1e306
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = mat_exp(stack, 100.0)
+        assert np.isnan(e[3]).all()
+        np.testing.assert_array_equal(e[0], mat_exp(stack[0], 100.0))
+
+    def test_rank_and_condition(self, stack):
+        ranks = numerical_rank(stack)
+        conds = condition_estimate(stack)
+        assert ranks.dtype.kind == "i"
+        for m, r, k in zip(stack, ranks, conds):
+            assert r == numerical_rank(m)
+            assert k == condition_estimate(m)
+        assert math.isinf(condition_estimate(np.zeros((2, 3, 3)))[1])
+
+    def test_single_matrix_results_keep_their_types(self):
+        assert isinstance(char_poly(np.eye(2)), MonicPolynomial)
+        assert isinstance(numerical_rank(np.eye(2)), int)
+        assert isinstance(condition_estimate(np.eye(2)), float)
+        assert isinstance(discriminant(MonicPolynomial([-1, 0])), float)
