@@ -179,6 +179,12 @@ class TestMonteCarloCommand:
         assert err.splitlines()[0] == f"UsageError: {message}"
         assert "Traceback" not in err
 
+    def test_overflowing_box_rejects_every_trial(self, capsys):
+        code, out, _ = run(capsys, "montecarlo", "--property", "observable",
+                           "--n", "3", "--trials", "20", "--box=-1e200,1e200")
+        assert code == 0
+        assert '"numerical_rejections": 20' in out
+
     def test_undecided_run_reports_null_estimate(self, capsys):
         code, out, _ = run(capsys, "montecarlo", "--property", "end-to-end-continuous",
                            "--n", "8", "--trials", "20", "--seed", "90")
