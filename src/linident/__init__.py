@@ -16,6 +16,7 @@ from .errors import (
     MissingStep,
     NoOrderFound,
     NonConvergence,
+    NonFinite,
     NotObservable,
     ParseError,
     SingularHankel,

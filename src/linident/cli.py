@@ -88,11 +88,7 @@ def _emit(doc: str, out_path) -> None:
 
 
 def _emit_series(series: TimeSeries, out_path) -> None:
-    lines = []
-    if series.step is not None:
-        lines.append(f"# step={format(series.step, '.17g')}")
-    lines.extend(format(v, ".17g") for v in series.values)
-    _emit("\n".join(lines) + "\n", out_path)
+    _emit(io.format_series(series), out_path)
 
 
 def _run_simulate(args) -> None:
@@ -109,10 +105,13 @@ def _run_simulate(args) -> None:
 
 def _run_identify(args) -> None:
     series = io.read_series(args.series)
-    if args.affine:
-        report = identify_affine(series, args.n, k=args.k)
-    else:
-        report = identify(series, args.n, k=args.k, overdetermined=args.overdetermined)
+    try:
+        if args.affine:
+            report = identify_affine(series, args.n, k=args.k)
+        else:
+            report = identify(series, args.n, k=args.k, overdetermined=args.overdetermined)
+    except ValueError as exc:  # --n or --k out of range
+        raise UsageError(str(exc)) from exc
     _emit(io.dumps(io.model_to_dict(report)), args.out)
 
 
@@ -121,7 +120,10 @@ def _run_predict(args) -> None:
     window = _csv_floats(args.seed_window, "--seed-window")
     if window.size != model.order:
         raise UsageError(f"--seed-window needs exactly {model.order} values, got {window.size}")
-    series = predict(model, window, args.steps)
+    try:
+        series = predict(model, window, args.steps)
+    except ValueError as exc:  # --steps out of range
+        raise UsageError(str(exc)) from exc
     _emit_series(series, args.out)
 
 

@@ -131,10 +131,11 @@ def _iterate(a, b, c, x, length: int) -> np.ndarray:
     """Outputs c x_i of x_{i+1} = a x_i (+ b), i < length; leading axes of
     the operands stack independent systems."""
     states = np.empty(x.shape[:-1] + (length, x.shape[-1]))
-    for i in range(length):
-        states[..., i, :] = x
-        if i + 1 < length:
-            x = np.matvec(a, x) if b is None else np.matvec(a, x) + b
+    states[..., 0, :] = x
+    for i in range(1, length):
+        x = np.matvec(a, x, out=states[..., i, :])
+        if b is not None:
+            x += b
     return np.vecdot(states, c[..., None, :])
 
 

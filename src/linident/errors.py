@@ -47,6 +47,10 @@ class NoOrderFound(LinIdentError):
     """No order up to n_max satisfies the Hankel rank criterion."""
 
 
+class NonFinite(LinIdentError):
+    """A computed result overflowed to inf or nan."""
+
+
 class ParseError(LinIdentError):
     """A data file could not be parsed."""
 

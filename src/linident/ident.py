@@ -19,6 +19,7 @@ from .errors import (
     InsufficientData,
     MissingStep,
     NoOrderFound,
+    NonFinite,
     SingularHankel,
     ZeroRoot,
 )
@@ -62,7 +63,9 @@ class PredictionModel:
     step: float | None = None
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
+        # contiguous, so that predict's dot runs one kernel whatever the
+        # caller's layout (a strided operand takes another, with other bits)
+        c = np.ascontiguousarray(self.coeffs, dtype=float)
         if c.ndim != 1 or c.size < 1:
             raise ValueError("coeffs must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(c)):
@@ -112,21 +115,36 @@ class ContinuousSpectrum:
     aliasing_risk: bool
 
 
-def hankel(series: TimeSeries, k: int, n: int) -> np.ndarray:
-    """n x n window with entry (i, j) = y_{k+i+j}."""
+def _check_window(n: int, k: int) -> None:
     if k < 0:
         raise ValueError("k must be >= 0")
     if n < 1:
         raise ValueError("n must be >= 1")
-    need = k + 2 * n - 1
-    if len(series) < need:
-        raise InsufficientData(f"need {need} samples for hankel(k={k}, n={n}), have {len(series)}")
-    return _hankel(series.values, k, n)
 
 
-def _hankel(y, k: int, n: int) -> np.ndarray:
-    """n x n windows y[..., k+i+j]; leading axes of ``y`` stack series."""
-    return y[..., k + np.arange(n)[:, None] + np.arange(n)]
+def hankel(series: TimeSeries, k: int, n: int) -> np.ndarray:
+    """n x n window with entry (i, j) = y_{k+i+j}, as a new array."""
+    _check_window(n, k)
+    return _hankel(series.values, k, n).copy()
+
+
+def _hankel(y, k: int, n: int, rows: int | None = None) -> np.ndarray:
+    """Read-only view of the rows x n windows y[..., k+i+j] (rows defaults
+    to n, the square window); leading axes of ``y`` stack series.
+
+    Every window matrix in this module is a view from here: the exact,
+    overdetermined and affine solves, the residual check and prediction.
+    """
+    rows = n if rows is None else rows
+    y = np.ascontiguousarray(y[..., k:])
+    if y.shape[-1] < rows + n - 1:  # numpy bounds the view by the whole stack only
+        raise InsufficientData(f"need {k + rows + n - 1} samples for {rows} windows of "
+                               f"length {n} from k={k}, have {k + y.shape[-1]}")
+    # np.ndarray on y's buffer rather than as_strided, whose helper objects
+    # raise the peak resident set by about 1.5 MB over many calls
+    h = np.ndarray(y.shape[:-1] + (rows, n), y.dtype, y, 0, y.strides + y.strides[-1:])
+    h.flags.writeable = False
+    return h
 
 
 def _solve_windows(h, rhs) -> tuple[np.ndarray, np.ndarray]:
@@ -156,22 +174,19 @@ def identify(series: TimeSeries, n: int, k: int = 0,
     With ``overdetermined=True``, every available window row enters a
     least-squares solve instead.
     """
+    _check_window(n, k)
     need = k + 2 * n
     if len(series) < need:
         raise InsufficientData(f"need {need} samples to identify order {n} at k={k}")
     y = series.values
     if overdetermined:
-        rows = len(y) - n - k
-        h = np.empty((rows, n))
-        for j in range(rows):
-            h[j] = y[k + j:k + j + n]
-        rhs = y[k + n:k + n + rows]
-        sol, *_ = np.linalg.lstsq(h, rhs, rcond=None)
+        h = _hankel(y, k, n, len(y) - n - k)
+        sol, *_ = np.linalg.lstsq(h, y[k + n:], rcond=None)
         cond = condition_estimate(h)
         if cond > SINGULAR_CONDITION_CAP:
             raise _cap_exceeded("window", cond)
     else:
-        sol, cond = _solve_windows(hankel(series, k, n)[None], y[None, k + n:k + 2 * n])
+        sol, cond = _solve_windows(_hankel(y, k, n)[None], y[None, k + n:k + 2 * n])
         sol, cond = sol[0], float(cond[0])
         if cond > SINGULAR_CONDITION_CAP:
             raise _cap_exceeded("Hankel", cond)
@@ -188,14 +203,13 @@ def identify_affine(series: TimeSeries, n: int, k: int = 0) -> IdentReport:
     Solves the (n+1) x (n+1) system whose rows append a constant-1 column
     to consecutive length-n windows.
     """
+    _check_window(n, k)
     need = k + 2 * n + 1
     if len(series) < need:
         raise InsufficientData(f"need {need} samples for affine order {n} at k={k}")
     y = series.values
-    h = np.empty((n + 1, n + 1))
-    for j in range(n + 1):
-        h[j, :n] = y[k + j:k + j + n]
-        h[j, n] = 1.0
+    h = np.ones((n + 1, n + 1))
+    h[:, :n] = _hankel(y, k, n, n + 1)
     sol, cond = _solve_windows(h[None], y[None, k + n:k + 2 * n + 1])
     sol, cond = sol[0], float(cond[0])
     if cond > SINGULAR_CONDITION_CAP:
@@ -209,14 +223,15 @@ def identify_affine(series: TimeSeries, n: int, k: int = 0) -> IdentReport:
 
 
 def _window_residual(y, k, n, coeffs, offset) -> float:
-    """Max equation defect over every window the series supports."""
-    rows = len(y) - n - k
-    worst = 0.0
+    """Max equation defect over every window the series supports.
+
+    ``np.vecdot`` runs the same dot kernel per row as ``coeffs @ window``,
+    so each defect is bit-equal to the one-window product; a matrix
+    product (``h @ coeffs``) is not. ``fmax`` skips a NaN defect.
+    """
     off = 0.0 if offset is None else offset
-    for j in range(rows):
-        defect = y[k + n + j] + coeffs @ y[k + j:k + j + n] - off
-        worst = max(worst, abs(defect))
-    return worst
+    defect = y[k + n:] + np.vecdot(_hankel(y, k, n, len(y) - n - k), coeffs) - off
+    return float(np.fmax.reduce(np.abs(defect), initial=0.0))
 
 
 def predict(model: PredictionModel, seed, steps: int) -> TimeSeries:
@@ -227,11 +242,20 @@ def predict(model: PredictionModel, seed, steps: int) -> TimeSeries:
     if steps < 1:
         raise ValueError("steps must be >= 1")
     offset = 0.0 if model.offset is None else model.offset
-    out = np.empty(steps)
-    for i in range(steps):
-        nxt = -(model.coeffs @ window) + offset
-        out[i] = nxt
-        window = np.concatenate((window[1:], [nxt]))
+    n = model.order
+    buf = np.empty(n + steps)
+    buf[:n] = window
+    out = buf[n:]
+    # window i is buf[i:i + n]: its last entry, out[i - 1], was written by
+    # the step before. coeffs.dot runs the same 1-D kernel as coeffs @ w.
+    dot = model.coeffs.dot
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, w in enumerate(_hankel(buf, 0, n, steps)):
+            out[i] = offset - dot(w)
+    finite = np.isfinite(out)
+    if not finite.all():
+        first = int(np.argmin(finite)) + 1
+        raise NonFinite(f"prediction diverges: step {first} of {steps} is not finite")
     return TimeSeries(out, step=model.step)
 
 

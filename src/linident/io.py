@@ -10,8 +10,10 @@ losslessly.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
+from array import array
 
 import numpy as np
 
@@ -24,6 +26,7 @@ FORMAT_VERSION = 1
 __all__ = [
     "FORMAT_VERSION",
     "dumps",
+    "format_series",
     "model_to_dict",
     "model_from_dict",
     "read_model",
@@ -38,40 +41,68 @@ __all__ = [
 
 
 def read_series(path) -> TimeSeries:
-    """Parse a series file; reports the 1-based line of the first bad value."""
-    values = []
+    """Parse a series file; reports the 1-based line of the first bad value.
+
+    Sample lines go straight to ``float``; only the lines it rejects are
+    checked for blanks, comments and the step header.
+    """
+    values = array("d")
+    skipped = []  # len(values) at each blank or comment line
     step = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for raw in fh:
+                try:
+                    values.append(float(raw))
+                    continue
+                except ValueError:
+                    pass
+                lineno = len(values) + len(skipped) + 1
+                skipped.append(len(values))
+                line = raw.strip()
+                if not line:
+                    continue
+                if not line.startswith("#"):
+                    raise ParseError(f"bad sample {line!r} at line {lineno}", line=lineno)
                 body = line.lstrip("#").strip()
                 if body.startswith("step="):
                     try:
                         step = float(body[len("step="):])
                     except ValueError as exc:
                         raise ParseError(f"bad step value at line {lineno}", line=lineno) from exc
-                continue
-            try:
-                v = float(line)
-            except ValueError as exc:
-                raise ParseError(f"bad sample {line!r} at line {lineno}", line=lineno) from exc
-            if not math.isfinite(v):
-                raise ParseError(f"non-finite sample at line {lineno}", line=lineno)
-            values.append(v)
+                    if not (math.isfinite(step) and step > 0):
+                        raise ParseError(f"step must be positive and finite at line {lineno}",
+                                         line=lineno)
+    except ParseError:
+        _finite_samples(values, skipped)  # a non-finite sample on an earlier line comes first
+        raise
     if not values:
         raise EmptySeries(f"no samples in {path}")
-    return TimeSeries(np.array(values), step=step)
+    return TimeSeries(_finite_samples(values, skipped), step=step)
+
+
+def _finite_samples(values: array, skipped: list) -> np.ndarray:
+    """The samples as an array, or ParseError at the line of the first
+    non-finite one."""
+    y = np.frombuffer(values)
+    finite = np.isfinite(y)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        lineno = i + 1 + bisect.bisect_right(skipped, i)
+        raise ParseError(f"non-finite sample at line {lineno}", line=lineno)
+    return y
+
+
+def format_series(series: TimeSeries) -> str:
+    """Series file text: the step header when known, then one sample per
+    line at 17 significant digits."""
+    head = "" if series.step is None else f"# step={_fmt(series.step)}\n"
+    return head + ("%.17g\n" * len(series)) % tuple(series.values.tolist())
 
 
 def write_series(series: TimeSeries, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        if series.step is not None:
-            fh.write(f"# step={_fmt(series.step)}\n")
-        for v in series.values:
-            fh.write(_fmt(v) + "\n")
+        fh.write(format_series(series))
 
 
 def _fmt(x: float) -> str:
@@ -129,8 +160,17 @@ def write_system(sys: SystemSpec, path) -> None:
     write_report(doc, path)
 
 
-def read_system(path) -> SystemSpec:
+def _read_document(path) -> dict:
+    """A structured document of this format_version, or ParseError."""
     doc = read_report(path)
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version != FORMAT_VERSION:
+        raise ParseError(f"{path} has format_version {version!r}, expected {FORMAT_VERSION}")
+    return doc
+
+
+def read_system(path) -> SystemSpec:
+    doc = _read_document(path)
     try:
         return SystemSpec(
             kind=doc["kind"],
@@ -176,4 +216,4 @@ def write_model(report: IdentReport, path) -> None:
 
 
 def read_model(path) -> PredictionModel:
-    return model_from_dict(read_report(path))
+    return model_from_dict(_read_document(path))

@@ -50,6 +50,26 @@ class TestIdentifyCommand:
         assert code == 2
         assert "ParseError" in err
 
+    @pytest.mark.parametrize("flag, message", [
+        (["--n", "0"], "n must be >= 1"),
+        (["--n", "2", "--k", "-3"], "k must be >= 0"),
+        (["--n", "2", "--k", "-3", "--overdetermined"], "k must be >= 0"),
+        (["--n", "2", "--k", "-3", "--affine"], "k must be >= 0"),
+    ], ids=["n", "k", "k-overdetermined", "k-affine"])
+    def test_invalid_window_exits_two(self, capsys, fib_series, flag, message):
+        code, out, err = run(capsys, "identify", "--series", str(fib_series), *flag)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == f"UsageError: {message}"
+
+    def test_zero_step_header_exits_two(self, capsys, tmp_path):
+        p = tmp_path / "s.txt"
+        p.write_text("# sampled series\n# step=0\n1\n2\n3\n")
+        code, _, err = run(capsys, "identify", "--series", str(p), "--n", "1")
+        assert code == 2
+        assert err.startswith("ParseError: ")
+        assert "at line 2" in err.splitlines()[0]
+
 
 class TestPredictCommand:
     def test_continuation(self, capsys, tmp_path, fib_series):
@@ -69,6 +89,33 @@ class TestPredictCommand:
                            "--seed-window", "5", "--steps", "3")
         assert code == 2
         assert "usage" in err
+
+    def test_zero_steps_exits_two(self, capsys, tmp_path, fib_series):
+        model = tmp_path / "model.json"
+        run(capsys, "identify", "--series", str(fib_series), "--n", "2",
+            "--out", str(model))
+        code, _, err = run(capsys, "predict", "--model", str(model),
+                           "--seed-window", "5,8", "--steps", "0")
+        assert code == 2
+        assert err.splitlines()[0] == "UsageError: steps must be >= 1"
+
+    def test_divergent_model_exits_one(self, capsys, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text('{"format_version": 1, "coeffs": [-10]}\n')
+        code, out, err = run(capsys, "predict", "--model", str(model),
+                             "--seed-window", "1", "--steps", "400")
+        assert code == 1
+        assert out == ""
+        # y_i = 10^i first overflows at 10^309
+        assert err == "NonFinite: prediction diverges: step 309 of 400 is not finite\n"
+
+    def test_unknown_format_version_exits_two(self, capsys, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text('{"format_version": 99, "coeffs": [-1, -1]}\n')
+        code, _, err = run(capsys, "predict", "--model", str(model),
+                           "--seed-window", "5,8", "--steps", "3")
+        assert code == 2
+        assert "format_version 99" in err.splitlines()[0]
 
 
 class TestObservabilityCommand:

@@ -33,6 +33,14 @@ class TestReadSeries:
         with pytest.raises(EmptySeries):
             io.read_series(p)
 
+    @pytest.mark.parametrize("header", ["step=0", "step=-0.5", "step=inf", "step=nan"])
+    def test_bad_step_names_its_line(self, tmp_path, header):
+        p = tmp_path / "s.txt"
+        p.write_text(f"1\n# {header}\n2\n")
+        with pytest.raises(ParseError) as exc:
+            io.read_series(p)
+        assert exc.value.line == 2
+
     def test_round_trip(self, tmp_path):
         series = TimeSeries([1.0, 1 / 3, 0.955], step=0.125)
         p = tmp_path / "s.txt"
@@ -87,3 +95,26 @@ class TestModelDocuments:
         np.testing.assert_array_equal(back.c, sys.c)
         assert back.step == sys.step
         assert back.kind == "continuous"
+
+
+class TestFormatVersion:
+    MODEL = '"coeffs": [-1.0, -1.0]'
+    SYSTEM = '"kind": "discrete", "A": [[0, 1], [1, 1]], "c": [1, 0]'
+
+    @pytest.mark.parametrize("version", ['"format_version": 99, ', '"format_version": "1", ', ""],
+                             ids=["99", "string", "missing"])
+    @pytest.mark.parametrize("reader, body", [(io.read_model, MODEL), (io.read_system, SYSTEM)],
+                             ids=["model", "system"])
+    def test_other_versions_are_rejected(self, tmp_path, reader, body, version):
+        p = tmp_path / "doc.json"
+        p.write_text("{" + version + body + "}\n")
+        with pytest.raises(ParseError, match="format_version"):
+            reader(p)
+        p.write_text('{"format_version": 1, ' + body + "}\n")
+        reader(p)
+
+    def test_non_object_document_is_rejected(self, tmp_path):
+        p = tmp_path / "doc.json"
+        p.write_text("[1, 2]\n")
+        with pytest.raises(ParseError):
+            io.read_model(p)
