@@ -1,10 +1,16 @@
 """Seeded Monte Carlo estimators for the almost-sure identifiability claims.
 
 Each trial draws (c, A, x0) uniformly from a box and checks one genericity
-property. Randomness is keyed on (seed, trial_index), so every draw can be
-regenerated on its own and reports are bit-reproducible. Uniform-on-box
-stands in for the Lebesgue-induced law: it is absolutely continuous with
-respect to Lebesgue measure, so full-measure events keep probability 1.
+property. Uniform-on-box stands in for the Lebesgue-induced law: it is
+absolutely continuous with respect to Lebesgue measure, so full-measure
+events keep probability 1.
+
+Draws come from a counter-based generator (Philox, Salmon et al., SC'11)
+keyed on the seed. Each counter value yields 4 doubles, and trial i owns the
+``stride = ceil((2n + n*n) / 4)`` counter values that follow ``i * stride``:
+its draw depends only on (seed, i), not on the block it is drawn in or on the
+trial count. So one generator call draws a whole block, any trial can be
+regenerated on its own (``draw_sample``), and reports are bit-reproducible.
 
 Trials are evaluated in blocks of BLOCK draws stacked into (T, n) and
 (T, n, n) arrays: each kernel runs once per block, and every trial gets the
@@ -89,6 +95,8 @@ class TrialConfig:
             raise ValueError("n must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not self.success_tol > 0:
             raise ValueError("success_tol must be positive")
         if not self.cond_cap > 1:
@@ -140,17 +148,29 @@ class ExperimentReport:
 
 
 def draw_sample(config: TrialConfig, trial_index: int):
-    """Deterministic (c, A, x0) draw for one trial.
+    """Deterministic (c, A, x0) draw for one trial: the block of one.
 
-    Keyed on (seed, trial_index) only, so any trial can be regenerated in
-    isolation and execution order is irrelevant.
+    The draw is the first n + n*n + n doubles of the trial's own Philox
+    counter range (c, then A row by row, then x0), keyed on (seed,
+    trial_index) only. So any trial can be regenerated in isolation, and it
+    is bit-equal to the same trial drawn inside ``mc_estimate``'s blocks.
     """
-    if not 0 <= trial_index < config.trials:
-        raise ValueError(f"trial_index {trial_index} out of range")
-    rng = np.random.default_rng([config.seed, trial_index])
+    c, a, x0 = _draw_block(config, trial_index, 1)
+    return c[0], a[0], x0[0]
+
+
+def _draw_block(config: TrialConfig, start: int, count: int):
+    """Stacked (c, A, x0) of trials start .. start+count-1 from one
+    generator call: shapes (count, n), (count, n, n) and (count, n)."""
+    if not 0 <= start < start + count <= config.trials:
+        raise ValueError(f"trials {start}..{start + count - 1} out of range "
+                         f"for {config.trials} trials")
     n = config.n
-    draw = rng.uniform(config.box.lo, config.box.hi, n + n * n + n)
-    return draw[:n], draw[n:n + n * n].reshape(n, n), draw[n + n * n:]
+    stride = -(-(2 * n + n * n) // 4)  # Philox counter values per trial, 4 doubles each
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed),
+                                               counter=start * stride))
+    draw = rng.uniform(config.box.lo, config.box.hi, (count, 4 * stride))
+    return draw[:, :n], draw[:, n:n + n * n].reshape(count, n, n), draw[:, n + n * n:2 * n + n * n]
 
 
 def evaluate_property(prop: str, c, a, x0, config: TrialConfig):
@@ -253,14 +273,9 @@ def mc_estimate(prop: str, config: TrialConfig) -> ExperimentReport:
     """
     successes = failures = rejections = 0
     worst = []
-    n = config.n
-    size = min(BLOCK, config.trials)
-    c, a, x0 = np.empty((size, n)), np.empty((size, n, n)), np.empty((size, n))
     for start in range(0, config.trials, BLOCK):
-        t = min(BLOCK, config.trials - start)
-        for j in range(t):
-            c[j], a[j], x0[j] = draw_sample(config, start + j)
-        for j, (outcome, diag) in enumerate(evaluate_block(prop, c[:t], a[:t], x0[:t], config)):
+        c, a, x0 = _draw_block(config, start, min(BLOCK, config.trials - start))
+        for j, (outcome, diag) in enumerate(evaluate_block(prop, c, a, x0, config)):
             if outcome == SUCCESS:
                 successes += 1
             elif outcome == FAILURE:

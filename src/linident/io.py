@@ -17,7 +17,7 @@ from array import array
 
 import numpy as np
 
-from .errors import EmptySeries, ParseError
+from .errors import DimensionMismatch, EmptySeries, ParseError
 from .dynsys import SystemSpec, TimeSeries
 from .ident import IdentReport, PredictionModel
 
@@ -76,6 +76,8 @@ def read_series(path) -> TimeSeries:
     except ParseError:
         _finite_samples(values, skipped)  # a non-finite sample on an earlier line comes first
         raise
+    except UnicodeDecodeError as exc:  # raised by the line iterator, a chunk at a time
+        raise ParseError(f"series file {path} is not UTF-8 text: {exc.reason}") from exc
     if not values:
         raise EmptySeries(f"no samples in {path}")
     return TimeSeries(_finite_samples(values, skipped), step=step)
@@ -144,6 +146,8 @@ def read_report(path) -> dict:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad document {path}: {exc}", line=exc.lineno) from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"document {path} is not UTF-8 text: {exc.reason}") from exc
 
 
 def write_system(sys: SystemSpec, path) -> None:
@@ -181,6 +185,8 @@ def read_system(path) -> SystemSpec:
         )
     except KeyError as exc:
         raise ParseError(f"system file {path} is missing field {exc}") from exc
+    except (TypeError, ValueError, DimensionMismatch) as exc:  # a value the spec rejects
+        raise ParseError(f"system file {path}: {exc}") from exc
 
 
 def model_to_dict(report: IdentReport) -> dict:
@@ -209,6 +215,8 @@ def model_from_dict(doc: dict) -> PredictionModel:
         )
     except KeyError as exc:
         raise ParseError(f"model document is missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:  # a value the model rejects
+        raise ParseError(f"model document: {exc}") from exc
 
 
 def write_model(report: IdentReport, path) -> None:

@@ -70,6 +70,15 @@ class TestIdentifyCommand:
         assert err.startswith("ParseError: ")
         assert "at line 2" in err.splitlines()[0]
 
+    def test_non_utf8_series_exits_two(self, capsys, tmp_path):
+        p = tmp_path / "s.txt"
+        p.write_bytes(b"\xff\xfe1\x00\n\x002\x00\n\x00")
+        code, out, err = run(capsys, "identify", "--series", str(p), "--n", "1")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == (f"ParseError: series file {p} is not UTF-8 text: "
+                                       "invalid start byte")
+
 
 class TestPredictCommand:
     def test_continuation(self, capsys, tmp_path, fib_series):
@@ -132,6 +141,15 @@ class TestObservabilityCommand:
         assert code == 0
         assert '"observable": true' in out
 
+    def test_unknown_kind_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "sys.json"
+        path.write_text('{"format_version": 1, "kind": "weird", "A": [[1]], "c": [1]}\n')
+        code, out, err = run(capsys, "observability", "--system", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == (f"ParseError: system file {path}: "
+                                       "unknown system kind 'weird'")
+
 
 class TestSpectrumCommand:
     def test_rotation(self, capsys, tmp_path):
@@ -158,6 +176,14 @@ class TestSpectrumCommand:
         code, _, err = run(capsys, "spectrum", "--model", str(model))
         assert code == 1
         assert "MissingStep" in err
+
+    def test_overflowing_coefficient_exits_two(self, capsys, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text('{"format_version": 1, "coeffs": [1e400], "step": 0.1}\n')
+        code, out, err = run(capsys, "spectrum", "--model", str(model))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == "ParseError: model document: coefficients must be finite"
 
 
 class TestSimulatePipeline:
@@ -217,7 +243,8 @@ class TestMonteCarloCommand:
         (["--n", "0"], "n must be >= 1"),
         (["--box=1,0"], "box needs lo < hi"),
         (["--cond-cap", "0.5"], "cond_cap must exceed 1"),
-    ], ids=["trials", "n", "box", "cond-cap"])
+        (["--seed", "-1"], "seed must be >= 0"),
+    ], ids=["trials", "n", "box", "cond-cap", "seed"])
     def test_invalid_config_exits_two(self, capsys, flag, message):
         code, out, err = run(capsys, "montecarlo", "--property", "observable",
                              "--n", "3", "--trials", "10", *flag)

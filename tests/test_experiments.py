@@ -9,7 +9,7 @@ from linident import (
     evaluate_property,
     mc_estimate,
 )
-from linident.experiments import FAILURE, NUMERICAL_REJECTION, SUCCESS
+from linident.experiments import FAILURE, NUMERICAL_REJECTION, SUCCESS, _draw_block
 
 
 def config(**kw):
@@ -49,6 +49,35 @@ class TestDrawSample:
             total += c.sum() + a.sum() + x0.sum()
             count += c.size + a.size + x0.size
         assert -0.05 < total / count < 0.05
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 12])  # 2n + n*n: 3, 8, 15, 168
+    @pytest.mark.parametrize("start", [0, 37])
+    def test_block_equals_single_draws(self, n, start):
+        cfg = config(n=n, trials=120)
+        count = cfg.trials - start
+        block = _draw_block(cfg, start, count)
+        assert [v.shape for v in block] == [(count, n), (count, n, n), (count, n)]
+        for j in range(count):
+            for stacked, single in zip(block, draw_sample(cfg, start + j)):
+                np.testing.assert_array_equal(stacked[j], single)
+
+    def test_draw_does_not_depend_on_trial_count(self):
+        few, many = draw_sample(config(trials=300), 7), draw_sample(config(trials=1000), 7)
+        for a, b in zip(few, many):
+            np.testing.assert_array_equal(a, b)
+
+    def test_pinned_draw(self):
+        # any change to the draw law changes every seeded report; it must fail here
+        c, a, x0 = draw_sample(TrialConfig(n=2, trials=1, seed=0), 0)
+        assert c.tolist() == [-0.9718659286687046, -0.48446550875076455]
+        assert a.tolist() == [[-0.05686923796942067, -0.8171606577852626],
+                              [0.9582690001308065, -0.48783219346132434]]
+        assert x0.tolist() == [0.871185546514005, -0.619894730657208]
+
+    @pytest.mark.parametrize("index", [-1, 100])
+    def test_index_out_of_range(self, index):
+        with pytest.raises(ValueError, match="out of range"):
+            draw_sample(config(), index)
 
     def test_bounds(self):
         cfg = config(box=SamplingBox(2.0, 3.0), trials=50)

@@ -41,6 +41,12 @@ class TestReadSeries:
             io.read_series(p)
         assert exc.value.line == 2
 
+    def test_non_utf8_file(self, tmp_path):
+        p = tmp_path / "s.txt"
+        p.write_bytes(b"1\n2\n\xff\xfe3\n")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            io.read_series(p)
+
     def test_round_trip(self, tmp_path):
         series = TimeSeries([1.0, 1 / 3, 0.955], step=0.125)
         p = tmp_path / "s.txt"
@@ -117,4 +123,27 @@ class TestFormatVersion:
         p = tmp_path / "doc.json"
         p.write_text("[1, 2]\n")
         with pytest.raises(ParseError):
+            io.read_model(p)
+
+
+class TestInvalidValues:
+    @pytest.mark.parametrize("reader, body, message", [
+        (io.read_system, '"kind": "weird", "A": [[1]], "c": [1]', "unknown system kind"),
+        (io.read_system, '"kind": "discrete", "A": [[1e400]], "c": [1]', "must be finite"),
+        (io.read_system, '"kind": "discrete", "A": [[1, 2]], "c": [1]', "square matrix"),
+        (io.read_system, '"kind": "discrete", "A": {"a": 1}, "c": [1]', "float"),
+        (io.read_model, '"coeffs": [1e400]', "coefficients must be finite"),
+        (io.read_model, '"coeffs": [1.0], "step": -1', "step must be positive"),
+        (io.read_model, '"coeffs": [1.0], "offset": [1]', "float"),
+    ], ids=["kind", "inf-entry", "shape", "object-matrix", "inf-coeff", "step", "list-offset"])
+    def test_failed_validation_is_a_parse_error(self, tmp_path, reader, body, message):
+        p = tmp_path / "doc.json"
+        p.write_text('{"format_version": 1, ' + body + "}\n")
+        with pytest.raises(ParseError, match=message):
+            reader(p)
+
+    def test_non_utf8_document(self, tmp_path):
+        p = tmp_path / "doc.json"
+        p.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ParseError, match="not UTF-8"):
             io.read_model(p)
