@@ -15,12 +15,10 @@ from .errors import (
     LinIdentError,
     MissingStep,
     NoOrderFound,
-    NonConvergence,
     NonFinite,
     NotObservable,
     ParseError,
     SingularHankel,
-    SingularMatrix,
     ZeroRoot,
 )
 from .numkit import (
@@ -34,7 +32,6 @@ from .numkit import (
     numerical_rank,
     poly_roots,
     resultant,
-    solve_linear,
 )
 from .dynsys import (
     SystemSpec,

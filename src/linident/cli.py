@@ -93,13 +93,16 @@ def _emit_series(series: TimeSeries, out_path) -> None:
 
 def _run_simulate(args) -> None:
     spec = io.read_system(args.system)
-    if args.lam is not None:
-        spec = SystemSpec(spec.kind, spec.a, spec.c, b=spec.b, step=args.lam)
     x0 = _csv_floats(args.x0, "--x0")
-    if spec.kind == "discrete":
-        series = simulate_discrete(spec, x0, args.length)
-    else:
-        series = sample_continuous(spec, x0, args.length)
+    if x0.size != spec.order:
+        raise UsageError(f"--x0 needs exactly {spec.order} values, got {x0.size}")
+    try:
+        if args.lam is not None:
+            spec = SystemSpec(spec.kind, spec.a, spec.c, b=spec.b, step=args.lam)
+        simulate = simulate_discrete if spec.kind == "discrete" else sample_continuous
+        series = simulate(spec, x0, args.length)
+    except ValueError as exc:  # --lambda, --x0 or --len out of range
+        raise UsageError(str(exc)) from exc
     _emit_series(series, args.out)
 
 

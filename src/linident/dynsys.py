@@ -10,14 +10,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, MissingStep, NotObservable, SingularMatrix
+from .errors import DimensionMismatch, MissingStep, NotObservable
 from .numkit import (
     DEFAULT_RANK_TOL,
     _as_square,
     char_poly,
     mat_exp,
     numerical_rank,
-    solve_linear,
 )
 
 __all__ = [
@@ -181,16 +180,15 @@ def output_row_G(a, c) -> np.ndarray:
     """The row G = c A^n Q^{-1} closing the output recurrence.
 
     By Cayley-Hamilton this equals (-a_0, ..., -a_{n-1}) for the
-    characteristic coefficients of A.
+    characteristic coefficients of A. Raises NotObservable exactly when
+    ``is_observable`` reports (A, c) unobservable.
     """
     a = _as_square(a)
     n = a.shape[0]
     q = observability_matrix(a, c)
-    can = q[n - 1] @ a  # c A^{n-1} is the last row of Q
-    try:
-        return solve_linear(q.T, can)
-    except SingularMatrix as exc:
-        raise NotObservable("observability matrix is numerically singular") from exc
+    if numerical_rank(q) < n:
+        raise NotObservable("observability matrix is numerically singular")
+    return np.linalg.solve(q.T, q[n - 1] @ a)  # c A^{n-1} is the last row of Q
 
 
 def affine_offset(a, b, c) -> float:

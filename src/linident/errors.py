@@ -13,14 +13,6 @@ class DimensionMismatch(LinIdentError):
     """Operand shapes are inconsistent."""
 
 
-class SingularMatrix(LinIdentError):
-    """A pivot fell below the pivot floor during elimination."""
-
-
-class NonConvergence(LinIdentError):
-    """An iterative kernel exceeded its iteration cap."""
-
-
 class InsufficientData(LinIdentError):
     """The time series is too short for the requested window."""
 

@@ -1,10 +1,9 @@
 """Dense linear-algebra and polynomial kernel.
 
-Everything here is deterministic: row-pivoted elimination with an explicit
-pivot floor, Faddeev-LeVerrier characteristic polynomials, scaling-and-
-squaring matrix exponentials, Sylvester-matrix resultants and Aberth-style
-simultaneous root iteration. Targets small dense problems (n up to a few
-tens); no sparsity, no extended precision.
+Everything here is deterministic: Faddeev-LeVerrier characteristic
+polynomials, scaling-and-squaring matrix exponentials and Sylvester-matrix
+resultants; roots come from LAPACK through ``np.roots``. Targets small dense
+problems (n up to a few tens); no sparsity, no extended precision.
 
 ``char_poly``, ``mat_exp``, ``resultant``, ``discriminant``,
 ``numerical_rank`` and ``condition_estimate`` also take stacks: leading axes
@@ -20,11 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonConvergence, SingularMatrix
+from .errors import DimensionMismatch
 
 DEFAULT_RANK_TOL = 1e-9
-PIVOT_FLOOR_REL = 1e-12
-ABERTH_MAX_ITER = 200
 
 __all__ = [
     "DEFAULT_RANK_TOL",
@@ -38,7 +35,6 @@ __all__ = [
     "numerical_rank",
     "poly_roots",
     "resultant",
-    "solve_linear",
 ]
 
 
@@ -91,34 +87,6 @@ class MonicPolynomial:
 
     def __call__(self, x):
         return np.polyval(self.descending(), x)
-
-
-def solve_linear(m, rhs) -> np.ndarray:
-    """Solve ``m x = rhs`` by Gaussian elimination with partial pivoting.
-
-    Raises SingularMatrix when a pivot magnitude falls below the floor
-    ``PIVOT_FLOOR_REL * max |initial entry|``.
-    """
-    a = _as_square(m).copy()
-    b = np.atleast_1d(np.asarray(rhs, dtype=float)).copy()
-    n = a.shape[0]
-    if b.shape != (n,):
-        raise DimensionMismatch(f"rhs of shape {b.shape} for a {n}x{n} system")
-    floor = PIVOT_FLOOR_REL * max(np.abs(a).max(), np.finfo(float).tiny)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[p, k]) < floor:
-            raise SingularMatrix(f"pivot {a[p, k]:.3e} below floor {floor:.3e} at column {k}")
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            b[[k, p]] = b[[p, k]]
-        factors = a[k + 1:, k] / a[k, k]
-        a[k + 1:, k:] -= np.outer(factors, a[k, k:])
-        b[k + 1:] -= factors * b[k]
-    x = np.empty(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - a[k, k + 1:] @ x[k + 1:]) / a[k, k]
-    return x
 
 
 def _norm1(m) -> np.ndarray:
@@ -181,48 +149,15 @@ def char_poly(m):
 
 def companion_matrix(p: MonicPolynomial) -> np.ndarray:
     """Companion matrix: superdiagonal ones, last row (-a_0, ..., -a_{n-1})."""
-    n = p.degree
-    a = np.zeros((n, n))
-    for i in range(n - 1):
-        a[i, i + 1] = 1.0
-    a[n - 1, :] = -p.coeffs
+    a = np.eye(p.degree, k=1)
+    a[-1] = -p.coeffs
     return a
 
 
 def poly_roots(p: MonicPolynomial) -> np.ndarray:
-    """All complex roots of ``p`` by Aberth simultaneous iteration.
-
-    Returns the roots (with multiplicity) sorted lexicographically by
-    (real, imag). Raises NonConvergence past ABERTH_MAX_ITER sweeps.
-    """
-    n = p.degree
-    if n == 1:
-        return np.array([complex(-p.coeffs[0])])
-    desc = p.descending()
-    desc_der = np.polyder(desc)
-    radius = 1.0 + np.abs(p.coeffs).max()
-    # Irrational angular offset breaks the conjugate symmetry of the start
-    # configuration, which would otherwise stall on real-coefficient input.
-    angles = 2.0 * np.pi * np.arange(n) / n + math.sqrt(2.0)
-    z = radius * np.exp(1j * angles)
-    scale = max(1.0, np.abs(p.coeffs).max())
-    for _ in range(ABERTH_MAX_ITER):
-        pz = np.polyval(desc, z)
-        if np.abs(pz).max() <= 1e-12 * scale:
-            break
-        dz = np.polyval(desc_der, z)
-        dz = np.where(dz == 0, np.finfo(float).eps, dz)
-        w = pz / dz
-        pair = z[:, None] - z[None, :]
-        np.fill_diagonal(pair, np.inf)
-        repulse = (1.0 / pair).sum(axis=1)
-        corr = w / (1.0 - w * repulse)
-        z = z - corr
-        if np.abs(corr).max() <= 1e-14 * (1.0 + np.abs(z).max()):
-            break
-    else:
-        raise NonConvergence(f"Aberth iteration did not converge in {ABERTH_MAX_ITER} sweeps")
-    return sort_complex_lex(z)
+    """All complex roots of ``p`` (with multiplicity), as the eigenvalues of
+    its companion matrix, sorted lexicographically by (real, imag)."""
+    return sort_complex_lex(np.roots(p.descending()))
 
 
 def sort_complex_lex(z: np.ndarray) -> np.ndarray:

@@ -211,6 +211,28 @@ class TestSimulatePipeline:
                                       lib_future.values)
 
 
+class TestSimulateCommand:
+    @pytest.mark.parametrize("kind, flags, message", [
+        ("discrete", ["--x0", "1,1", "--len", "0"], "length must be >= 1"),
+        ("discrete", ["--x0", "nan,1", "--len", "3"], "x0 entries must be finite"),
+        ("discrete", ["--x0", "1", "--len", "3"], "--x0 needs exactly 2 values, got 1"),
+        ("discrete", ["--x0", "1,1", "--len", "3", "--lambda", "0.1"],
+         "discrete systems carry no sampling step"),
+        ("continuous", ["--x0", "1,0", "--len", "3", "--lambda", "0"],
+         "sampling step must be positive"),
+        ("continuous", ["--x0", "1,0", "--len", "3", "--lambda", "nan"],
+         "sampling step must be positive"),
+    ], ids=["len-0", "x0-nan", "x0-short", "lambda-discrete", "lambda-0", "lambda-nan"])
+    def test_invalid_input_exits_two(self, capsys, tmp_path, kind, flags, message):
+        path = tmp_path / "system.json"
+        io.write_system(SystemSpec(kind, [[0, 1], [1, 1]], [1, 0],
+                                   step=0.1 if kind == "continuous" else None), path)
+        code, out, err = run(capsys, "simulate", "--system", str(path), *flags)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == f"UsageError: {message}"
+
+
 class TestMonteCarloCommand:
     def test_report_fields(self, capsys, tmp_path):
         out = tmp_path / "mc.json"

@@ -164,6 +164,29 @@ class TestOutputRowG:
             g = output_row_G(a, c)
             assert np.abs(g + char_poly(a).coeffs).max() <= 1e-8
 
+    def test_nearly_unobservable_raises_like_is_observable(self):
+        # Q = [[1, 0], [1, 1e-11]] is not exactly singular, but has rank 1
+        # at the default tolerance.
+        a = [[1.0, 1e-11], [0.0, 1.0]]
+        assert is_observable(a, [1, 0]) == (False, 1)
+        with pytest.raises(NotObservable):
+            output_row_G(a, [1, 0])
+
+    def test_raises_exactly_when_unobservable(self):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            n = int(rng.integers(2, 6))
+            a = rng.uniform(-1, 1, (n, n))
+            c = rng.uniform(-1, 1, n)
+            if rng.random() < 0.5:  # unobservable: c orthogonal to an eigenvector
+                a = np.diag(rng.uniform(-1, 1, n))
+                c[int(rng.integers(n))] = 0.0
+            if is_observable(a, c)[0]:
+                assert np.isfinite(output_row_G(a, c)).all()
+            else:
+                with pytest.raises(NotObservable):
+                    output_row_G(a, c)
+
 
 class TestAffineOffset:
     def test_zero_drive(self):

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from linident import (
-    DimensionMismatch,
     MonicPolynomial,
-    SingularMatrix,
     char_poly,
     companion_matrix,
     condition_estimate,
@@ -15,42 +13,7 @@ from linident import (
     numerical_rank,
     poly_roots,
     resultant,
-    solve_linear,
 )
-
-
-class TestSolveLinear:
-    def test_identity(self):
-        assert np.array_equal(solve_linear(np.eye(2), [3, 4]), [3, 4])
-
-    def test_two_by_two(self):
-        # hand elimination: x = (1, 1)
-        x = solve_linear([[1, 1], [1, 2]], [2, 3])
-        np.testing.assert_allclose(x, [1, 1], atol=1e-14)
-
-    def test_zero_row_raises(self):
-        with pytest.raises(SingularMatrix):
-            solve_linear([[1, 1], [0, 0]], [1, 1])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            solve_linear([[1, 1], [1, 2]], [1, 2, 3])
-        with pytest.raises(DimensionMismatch):
-            solve_linear([[1, 1, 1], [1, 2, 1]], [1, 2])
-
-    def test_residual_on_well_conditioned(self):
-        rng = np.random.default_rng(1)
-        checked = 0
-        while checked < 50:
-            n = int(rng.integers(1, 9))
-            m = rng.standard_normal((n, n))
-            if condition_estimate(m) >= 1e6:
-                continue
-            rhs = rng.standard_normal(n)
-            x = solve_linear(m, rhs)
-            resid = np.abs(m @ x - rhs).max()
-            assert resid <= 1e-9 * max(np.abs(rhs).max(), 1e-30)
-            checked += 1
 
 
 class TestMatExp:
@@ -161,6 +124,21 @@ class TestPolyRoots:
             roots = poly_roots(char_poly(np.diag(diag)))
             np.testing.assert_allclose(roots.real, diag, atol=1e-8)
             assert np.abs(roots.imag).max() <= 1e-8
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_known_spectrum_at_higher_degree(self, n):
+        chebyshev = np.sort(np.cos(np.pi * (2 * np.arange(n) + 1) / (2 * n)))
+        for diag in (chebyshev, np.linspace(-3, 2, n)):
+            roots = poly_roots(char_poly(np.diag(diag)))
+            np.testing.assert_allclose(roots.real, diag, atol=1e-9)
+            assert np.abs(roots.imag).max() <= 1e-9
+
+    def test_degree_one_is_exact(self):
+        for a0 in (5.0, -0.1, 1e-30, 3.7e12):
+            assert poly_roots(MonicPolynomial([a0])).tolist() == [complex(-a0)]
+
+    def test_zero_polynomial_roots(self):
+        assert poly_roots(MonicPolynomial([0, 0])).tolist() == [0j, 0j]
 
 
 class TestResultantDiscriminant:
