@@ -9,6 +9,7 @@ arithmetic of its own; it only parses, dispatches and serializes.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -24,22 +25,22 @@ __all__ = ["main"]
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (u64)")
-    common.add_argument("--tol", type=float, default=1e-6, help="tolerance where applicable")
     common.add_argument("--out", default=None, help="output path (default: stdout)")
 
     parser = argparse.ArgumentParser(prog="linident",
                                      description="Linear prediction-model identification from time series")
     sub = parser.add_subparsers(dest="command", required=True)
+    # no prefix matching: --seed would otherwise stand for predict's --seed-window
+    add = functools.partial(sub.add_parser, parents=[common], allow_abbrev=False)
 
-    p = sub.add_parser("simulate", parents=[common], help="simulate a system to a series file")
+    p = add("simulate", help="simulate a system to a series file")
     p.add_argument("--system", required=True, help="system spec file")
     p.add_argument("--x0", required=True, help="initial state, comma-separated floats")
     p.add_argument("--len", dest="length", type=int, required=True, help="number of samples")
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="sampling step override (continuous systems)")
 
-    p = sub.add_parser("identify", parents=[common], help="identify a prediction model")
+    p = add("identify", help="identify a prediction model")
     p.add_argument("--series", required=True, help="series file")
     p.add_argument("--n", type=int, required=True, help="model order")
     p.add_argument("--k", type=int, default=0, help="window start index")
@@ -47,23 +48,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--overdetermined", action="store_true",
                    help="least-squares over all available windows")
 
-    p = sub.add_parser("predict", parents=[common], help="continue a series from a model")
+    p = add("predict", help="continue a series from a model")
     p.add_argument("--model", required=True, help="model file")
     p.add_argument("--seed-window", required=True, help="last n observed values, comma-separated")
     p.add_argument("--steps", type=int, required=True, help="number of future samples")
 
-    p = sub.add_parser("observability", parents=[common], help="rank report for a system")
+    p = add("observability", help="rank report for a system")
     p.add_argument("--system", required=True, help="system spec file")
 
-    p = sub.add_parser("spectrum", parents=[common], help="recover continuous-time eigenvalues")
+    p = add("spectrum", help="recover continuous-time eigenvalues")
     p.add_argument("--model", required=True, help="model file (must carry a step)")
 
-    p = sub.add_parser("montecarlo", parents=[common], help="measure-1 Monte Carlo estimate")
+    p = add("montecarlo", help="measure-1 Monte Carlo estimate")
     p.add_argument("--property", required=True, choices=PROPERTIES, dest="prop")
     p.add_argument("--n", type=int, required=True, help="system dimension")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--box", default="-1,1", help="sampling box as lo,hi")
-    p.add_argument("--cond-cap", type=float, default=1e10,
+    p.add_argument("--seed", type=int, default=TrialConfig.seed, help="RNG seed (u64)")
+    p.add_argument("--tol", type=float, default=TrialConfig.success_tol, help="success tolerance")
+    p.add_argument("--cond-cap", type=float, default=TrialConfig.cond_cap,
                    help="condition cutoff for numerical rejection")
     return parser
 

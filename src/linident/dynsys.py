@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, MissingStep, NotObservable
+from .errors import DimensionMismatch, MissingStep, NonFinite, NotObservable
 from .numkit import (
     DEFAULT_RANK_TOL,
     _as_square,
@@ -87,7 +87,6 @@ class TimeSeries:
 
     values: np.ndarray
     step: float | None = None
-    origin: int = 0
 
     def __post_init__(self):
         v = np.atleast_1d(np.asarray(self.values, dtype=float))
@@ -105,54 +104,59 @@ class TimeSeries:
 
 def simulate_discrete(sys: SystemSpec, x0, length: int) -> TimeSeries:
     """Outputs y_i = c x_i of x_{i+1} = A x_i (+ b), starting from x0."""
-    if sys.kind != "discrete":
-        raise ValueError("simulate_discrete needs a discrete system")
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    x = _as_vector(x0, sys.order, "x0")
-    return TimeSeries(_iterate(sys.a, sys.b, sys.c, x, length))
+    return _simulate(sys, "discrete", x0, length)
 
 
 def sample_continuous(sys: SystemSpec, x0, length: int) -> TimeSeries:
     """Outputs y_i = c exp(i*step*A) x0 of the continuous flow."""
-    if sys.kind != "continuous":
-        raise ValueError("sample_continuous needs a continuous system")
-    if sys.step is None:
-        raise MissingStep("continuous sampling requires a positive step")
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    x = _as_vector(x0, sys.order, "x0")
-    b_mat = mat_exp(sys.a, sys.step)
-    return TimeSeries(_iterate(b_mat, None, sys.c, x, length), step=sys.step)
+    return _simulate(sys, "continuous", x0, length)
 
 
-def _iterate(a, b, c, x, length: int) -> np.ndarray:
-    """Outputs c x_i of x_{i+1} = a x_i (+ b), i < length; leading axes of
-    the operands stack independent systems."""
-    states = np.empty(x.shape[:-1] + (length, x.shape[-1]))
+def _simulate(sys: SystemSpec, kind: str, x0, length: int) -> TimeSeries:
+    """Either kind's series; raises NonFinite naming the first bad sample."""
+    if sys.kind != kind:
+        raise ValueError(f"{kind} simulation needs a {kind} system")
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = _sampled_matrix(sys)
+        if length < 1:
+            raise ValueError("length must be >= 1")
+        y = _iterate(a, sys.b, sys.c, _as_vector(x0, sys.order, "x0"), length)
+    _require_finite(y, "simulation", "sample")
+    return TimeSeries(y, step=sys.step)
+
+
+def _require_finite(values, what: str, item: str) -> None:
+    """Raise NonFinite naming the first (1-based) non-finite entry."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        first = int(np.argmin(finite)) + 1
+        raise NonFinite(f"{what} diverges: {item} {first} of {finite.size} is not finite")
+
+
+def _powers(a, x, length: int, b=None) -> np.ndarray:
+    """States x_0 = x, x_{i+1} = a x_i (+ b), i < length, stacked on axis -2;
+    leading axes of ``a`` and ``x`` broadcast. The one power loop: it serves
+    simulation, the rows c A^i, the columns A^i x0 and the affine offset."""
+    states = np.empty(np.broadcast_shapes(a.shape[:-2], x.shape[:-1]) + (length, x.shape[-1]))
     states[..., 0, :] = x
     for i in range(1, length):
         x = np.matvec(a, x, out=states[..., i, :])
         if b is not None:
             x += b
-    return np.vecdot(states, c[..., None, :])
+    return states
+
+
+def _iterate(a, b, c, x, length: int) -> np.ndarray:
+    """Outputs c x_i of the ``_powers`` states; leading axes stack systems."""
+    return np.vecdot(_powers(a, x, length, b), c[..., None, :])
 
 
 def observability_matrix(a, c) -> np.ndarray:
-    """Rows c A^i, i = 0..n-1, built by repeated multiply-accumulate.
-
-    Leading axes of ``a`` and ``c`` stack systems; entries are not checked
-    for overflow.
-    """
+    """Rows c A^i, i = 0..n-1; leading axes of ``a`` and ``c`` stack
+    systems. Entries are not checked for overflow."""
     a = _as_square(a, stacked=True)
     n = a.shape[-1]
-    row = _as_vector(c, n, "c", stacked=True)
-    q = np.empty(np.broadcast_shapes(a.shape[:-2], row.shape[:-1]) + (n, n))
-    for i in range(n):
-        q[..., i, :] = row
-        if i + 1 < n:
-            row = np.vecmat(row, a)
-    return q
+    return _powers(np.swapaxes(a, -1, -2), _as_vector(c, n, "c", stacked=True), n)
 
 
 def krylov_matrix(a, x0) -> np.ndarray:
@@ -160,13 +164,9 @@ def krylov_matrix(a, x0) -> np.ndarray:
     ``observability_matrix``."""
     a = _as_square(a, stacked=True)
     n = a.shape[-1]
-    col = _as_vector(x0, n, "x0", stacked=True)
-    m = np.empty(np.broadcast_shapes(a.shape[:-2], col.shape[:-1]) + (n, n))
-    for j in range(n):
-        m[..., :, j] = col
-        if j + 1 < n:
-            col = np.matvec(a, col)
-    return m
+    states = _powers(a, _as_vector(x0, n, "x0", stacked=True), n)
+    # C-contiguous: numpy kernels can round a strided operand differently
+    return np.ascontiguousarray(np.swapaxes(states, -1, -2))
 
 
 def is_observable(a, c, tol: float = DEFAULT_RANK_TOL) -> tuple[bool, int]:
@@ -194,28 +194,27 @@ def output_row_G(a, c) -> np.ndarray:
 def affine_offset(a, b, c) -> float:
     """Constant term of the affine output recurrence y_n = G y + offset.
 
-    Closed form: c (A^{n-1} + ... + I) b minus G applied to the stacked
-    partial sums (0, c, c(A+I), ..., c(A^{n-2}+...+I)) b.
+    Closed form: p_n b - G (p_0 b, ..., p_{n-1} b) for the partial sums
+    p_0 = 0, p_{j+1} = p_j A + c = c (A^j + ... + I).
     """
     a = _as_square(a)
     n = a.shape[0]
     bv = _as_vector(b, n, "b")
     cv = _as_vector(c, n, "c")
     g = output_row_G(a, cv)
-    # rows[j] = c (A^{j-1} + ... + I) for j >= 1; rows[0] = 0
-    rows = np.zeros((n, n))
-    partial = cv.copy()
-    for j in range(1, n):
-        rows[j] = partial
-        partial = partial @ a + cv
-    # after the loop, partial = c (A^{n-1} + ... + I)
-    return float(partial @ bv - g @ (rows @ bv))
+    sums = _powers(a.T, np.zeros(n), n + 1, cv)
+    return float(sums[n] @ bv - g @ (sums[:n] @ bv))
+
+
+def _sampled_matrix(sys: SystemSpec) -> np.ndarray:
+    """A (discrete) or exp(step*A) (continuous): the map between samples."""
+    if sys.kind == "discrete":
+        return sys.a
+    if sys.step is None:
+        raise MissingStep("continuous system has no sampling step")
+    return mat_exp(sys.a, sys.step)
 
 
 def char_poly_of_sampled(sys: SystemSpec):
     """char_poly of A (discrete) or of exp(step*A) (continuous)."""
-    if sys.kind == "discrete":
-        return char_poly(sys.a)
-    if sys.step is None:
-        raise MissingStep("continuous system has no sampling step")
-    return char_poly(mat_exp(sys.a, sys.step))
+    return char_poly(_sampled_matrix(sys))

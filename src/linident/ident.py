@@ -19,11 +19,10 @@ from .errors import (
     InsufficientData,
     MissingStep,
     NoOrderFound,
-    NonFinite,
     SingularHankel,
     ZeroRoot,
 )
-from .dynsys import SystemSpec, TimeSeries, char_poly_of_sampled
+from .dynsys import SystemSpec, TimeSeries, _require_finite, char_poly_of_sampled
 from .numkit import (
     DEFAULT_RANK_TOL,
     MonicPolynomial,
@@ -252,10 +251,7 @@ def predict(model: PredictionModel, seed, steps: int) -> TimeSeries:
     with np.errstate(over="ignore", invalid="ignore"):
         for i, w in enumerate(_hankel(buf, 0, n, steps)):
             out[i] = offset - dot(w)
-    finite = np.isfinite(out)
-    if not finite.all():
-        first = int(np.argmin(finite)) + 1
-        raise NonFinite(f"prediction diverges: step {first} of {steps} is not finite")
+    _require_finite(out, "prediction", "step")
     return TimeSeries(out, step=model.step)
 
 
@@ -266,11 +262,12 @@ def estimate_order(series: TimeSeries, n_max: int, tol: float = DEFAULT_RANK_TOL
     need = 2 * n_max + 1
     if len(series) < need:
         raise InsufficientData(f"need {need} samples to scan orders up to {n_max}")
-    for n in range(1, n_max + 1):
-        if numerical_rank(hankel(series, 0, n), tol) < n:
-            continue
-        if numerical_rank(hankel(series, 0, n + 1), tol) <= n:
+    rank = numerical_rank(_hankel(series.values, 0, 1), tol)
+    for n in range(1, n_max + 1):  # each leading Hankel is ranked once
+        next_rank = numerical_rank(_hankel(series.values, 0, n + 1), tol)
+        if rank == n and next_rank <= n:
             return n
+        rank = next_rank
     raise NoOrderFound(f"no order up to {n_max} fits the Hankel rank criterion")
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,16 @@ class TestSimulateCommand:
         assert err.splitlines()[0] == f"UsageError: {message}"
 
 
+    def test_divergence_exits_one_without_warnings(self, capsys, fib_system):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "simulate", "--system", str(fib_system),
+                                 "--x0", "1,1", "--len", "2000")
+        assert code == 1
+        assert out == ""
+        assert err == "NonFinite: simulation diverges: sample 1476 of 2000 is not finite\n"
+
+
 class TestMonteCarloCommand:
     def test_report_fields(self, capsys, tmp_path):
         out = tmp_path / "mc.json"
@@ -293,6 +305,25 @@ class TestUsage:
     def test_unknown_command_exits_two(self, capsys):
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flag", [["--seed", "99"], ["--tol", "123"]], ids=["seed", "tol"])
+    @pytest.mark.parametrize("command", ["simulate", "identify", "predict", "observability",
+                                         "spectrum"])
+    def test_monte_carlo_flags_rejected_elsewhere(self, capsys, tmp_path, fib_system,
+                                                  fib_series, command, flag):
+        model = tmp_path / "model.json"
+        model.write_text('{"format_version": 1, "coeffs": [-1, -1], "step": 0.1}\n')
+        args = {
+            "simulate": ["--system", str(fib_system), "--x0", "1,1", "--len", "5"],
+            "identify": ["--series", str(fib_series), "--n", "2"],
+            "predict": ["--model", str(model), "--seed-window", "1,1", "--steps", "3"],
+            "observability": ["--system", str(fib_system)],
+            "spectrum": ["--model", str(model)],
+        }[command]
+        code, out, err = run(capsys, command, *args, *flag)
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
 
     def test_missing_input_file_exits_one(self, capsys, tmp_path):
         code, _, err = run(capsys, "identify", "--series",

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from linident import (
+    NonFinite,
     NotObservable,
     SystemSpec,
     affine_offset,
@@ -46,6 +48,16 @@ class TestSimulateDiscrete:
         sys = SystemSpec("discrete", FIB, [1, 0])
         assert simulate_discrete(sys, [1, 1], 4).step is None
 
+    def test_divergence_is_non_finite_without_warnings(self):
+        sys = SystemSpec("discrete", FIB, [1, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # the state's second entry overflows one step before the output,
+            # and 0 * inf makes that output NaN
+            with pytest.raises(NonFinite, match="^simulation diverges: sample 1476 of 2000 "
+                                                "is not finite$"):
+                simulate_discrete(sys, [1, 1], 2000)
+
 
 class TestStackedSystems:
     """Leading axes stack systems; each slice matches the single-system call."""
@@ -82,6 +94,14 @@ class TestSampleContinuous:
         expect = [math.cos(0.3 * i) for i in range(4)]
         np.testing.assert_allclose(series.values, expect, atol=1e-14)
         assert series.step == 0.3
+
+    def test_divergence_is_non_finite_without_warnings(self):
+        # exp(1000) overflows in mat_exp itself: every sample after x0's is NaN
+        sys = SystemSpec("continuous", [[1000.0]], [1.0], step=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match="sample 2 of 3 is not finite"):
+                sample_continuous(sys, [1.0], 3)
 
     def test_scalar_decay(self):
         sys = SystemSpec("continuous", [[-1.0]], [1.0], step=0.5)
@@ -235,3 +255,63 @@ class TestHankelFactorization:
                 scale = max(1.0, np.abs(h).max())
                 assert np.abs(h - expect).max() <= 1e-9 * scale
                 ak = ak @ a
+
+
+def reference_observability(a, c):
+    n = a.shape[-1]
+    row = c
+    q = np.empty(np.broadcast_shapes(a.shape[:-2], c.shape[:-1]) + (n, n))
+    for i in range(n):
+        q[..., i, :] = row
+        row = np.vecmat(row, a)
+    return q
+
+
+def reference_krylov(a, x0):
+    n = a.shape[-1]
+    col = x0
+    m = np.empty(np.broadcast_shapes(a.shape[:-2], x0.shape[:-1]) + (n, n))
+    for j in range(n):
+        m[..., :, j] = col
+        col = np.matvec(a, col)
+    return m
+
+
+def reference_affine_offset(a, b, c):
+    n = a.shape[0]
+    g = output_row_G(a, c)
+    rows = np.zeros((n, n))
+    partial = c.copy()
+    for j in range(1, n):
+        rows[j] = partial
+        partial = partial @ a + c
+    return float(partial @ b - g @ (rows @ b))
+
+
+def bitwise_equal(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
+class TestPowerKernel:
+    """The builders over the one power loop equal, bit for bit, the
+    per-row loops they replaced."""
+
+    @pytest.mark.parametrize("stack, shared", [((), False), ((6,), False), ((2, 3), False),
+                                               ((6,), True)],
+                             ids=["single", "stacked", "stacked-2d", "shared-vector"])
+    def test_observability_and_krylov(self, n, stack, shared):
+        rng = np.random.default_rng(40 + n)
+        a = rng.uniform(-2, 2, stack + (n, n))
+        c, x0 = rng.uniform(-1, 1, (2,) + (() if shared else stack) + (n,))
+        q, m = observability_matrix(a, c), krylov_matrix(a, x0)
+        assert bitwise_equal(q, reference_observability(a, c))
+        assert bitwise_equal(m, reference_krylov(a, x0))
+        assert q.flags.c_contiguous and m.flags.c_contiguous
+
+    def test_affine_offset(self, n):
+        rng = np.random.default_rng(50 + n)
+        for _ in range(20):
+            a, b, c = rng.uniform(-1, 1, (n, n)), rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+            assert bitwise_equal(affine_offset(a, b, c), reference_affine_offset(a, b, c))

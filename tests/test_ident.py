@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from linident import ident, numerical_rank
 from linident import (
     DimensionMismatch,
     InsufficientData,
@@ -188,6 +189,21 @@ class TestEstimateOrder:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
             estimate_order(fib_series(6), 3)
+
+    @pytest.mark.parametrize("order, n_max", [(2, 2), (2, 5), (4, 6)])
+    def test_ranks_each_leading_hankel_once(self, monkeypatch, order, n_max):
+        ranked = []
+
+        def counting_rank(m, tol):
+            ranked.append(m.shape)
+            return numerical_rank(m, tol)
+
+        monkeypatch.setattr(ident, "numerical_rank", counting_rank)
+        rng = np.random.default_rng(order)
+        a, c, x0 = draw_discrete(rng, order)
+        series = simulate_discrete(SystemSpec("discrete", a, c), x0, 2 * n_max + 1)
+        assert estimate_order(series, n_max) == order
+        assert ranked == [(m, m) for m in range(1, order + 2)]
 
 
 class TestVerifyConjugacy:
