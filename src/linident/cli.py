@@ -75,11 +75,7 @@ def _csv_floats(text: str, what: str) -> np.ndarray:
     try:
         return np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
     except ValueError as exc:
-        raise UsageError(f"bad {what}: {text!r}") from exc
-
-
-class UsageError(Exception):
-    pass
+        raise ValueError(f"bad {what}: {text!r}") from exc
 
 
 def _emit(doc: str, out_path) -> None:
@@ -98,26 +94,20 @@ def _run_simulate(args) -> None:
     spec = io.read_system(args.system)
     x0 = _csv_floats(args.x0, "--x0")
     if x0.size != spec.order:
-        raise UsageError(f"--x0 needs exactly {spec.order} values, got {x0.size}")
-    try:
-        if args.lam is not None:
-            spec = SystemSpec(spec.kind, spec.a, spec.c, b=spec.b, step=args.lam)
-        simulate = simulate_discrete if spec.kind == "discrete" else sample_continuous
-        series = simulate(spec, x0, args.length)
-    except ValueError as exc:  # --lambda, --x0 or --len out of range
-        raise UsageError(str(exc)) from exc
+        raise ValueError(f"--x0 needs exactly {spec.order} values, got {x0.size}")
+    if args.lam is not None:
+        spec = SystemSpec(spec.kind, spec.a, spec.c, b=spec.b, step=args.lam)
+    simulate = simulate_discrete if spec.kind == "discrete" else sample_continuous
+    series = simulate(spec, x0, args.length)
     _emit_series(series, args.out)
 
 
 def _run_identify(args) -> None:
     series = io.read_series(args.series)
-    try:
-        if args.affine:
-            report = identify_affine(series, args.n, k=args.k)
-        else:
-            report = identify(series, args.n, k=args.k, overdetermined=args.overdetermined)
-    except ValueError as exc:  # --n or --k out of range
-        raise UsageError(str(exc)) from exc
+    if args.affine:
+        report = identify_affine(series, args.n, k=args.k)
+    else:
+        report = identify(series, args.n, k=args.k, overdetermined=args.overdetermined)
     _emit(io.dumps(io.model_to_dict(report)), args.out)
 
 
@@ -125,12 +115,8 @@ def _run_predict(args) -> None:
     model = io.read_model(args.model)
     window = _csv_floats(args.seed_window, "--seed-window")
     if window.size != model.order:
-        raise UsageError(f"--seed-window needs exactly {model.order} values, got {window.size}")
-    try:
-        series = predict(model, window, args.steps)
-    except ValueError as exc:  # --steps out of range
-        raise UsageError(str(exc)) from exc
-    _emit_series(series, args.out)
+        raise ValueError(f"--seed-window needs exactly {model.order} values, got {window.size}")
+    _emit_series(predict(model, window, args.steps), args.out)
 
 
 def _run_observability(args) -> None:
@@ -156,13 +142,10 @@ def _run_spectrum(args) -> None:
 def _run_montecarlo(args) -> None:
     box_vals = _csv_floats(args.box, "--box")
     if box_vals.size != 2:
-        raise UsageError(f"--box needs exactly two values, got {args.box!r}")
-    try:
-        config = TrialConfig(n=args.n, trials=args.trials, seed=args.seed,
-                             box=SamplingBox(float(box_vals[0]), float(box_vals[1])),
-                             success_tol=args.tol, cond_cap=args.cond_cap)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError(f"--box needs exactly two values, got {args.box!r}")
+    config = TrialConfig(n=args.n, trials=args.trials, seed=args.seed,
+                         box=SamplingBox(float(box_vals[0]), float(box_vals[1])),
+                         success_tol=args.tol, cond_cap=args.cond_cap)
     report = mc_estimate(args.prop, config)
     doc = report.to_dict()
     doc["format_version"] = io.FORMAT_VERSION
@@ -188,8 +171,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _DISPATCH[args.command](args)
-    except (UsageError, ParseError, EmptySeries) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+    except (ValueError, ParseError, EmptySeries) as exc:
+        # every ValueError a command raises is an option or value out of range
+        name = type(exc).__name__ if isinstance(exc, LinIdentError) else "UsageError"
+        print(f"{name}: {exc}", file=sys.stderr)
         print(f"usage: linident {args.command} --help for details", file=sys.stderr)
         return 2
     except LinIdentError as exc:

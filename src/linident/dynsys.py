@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, MissingStep, NonFinite, NotObservable
 from .numkit import (
-    DEFAULT_RANK_TOL,
     _as_square,
     char_poly,
     mat_exp,
@@ -148,7 +147,13 @@ def _powers(a, x, length: int, b=None) -> np.ndarray:
 
 def _iterate(a, b, c, x, length: int) -> np.ndarray:
     """Outputs c x_i of the ``_powers`` states; leading axes stack systems."""
-    return np.vecdot(_powers(a, x, length, b), c[..., None, :])
+    states = _powers(a, x, length, b)
+    y = np.vecdot(states, c[..., None, :])
+    nan = np.isnan(y)
+    if nan.any():  # 0 * inf: recompute without the entries c weights by 0
+        s, w = states[nan], np.broadcast_to(c[..., None, :], states.shape)[nan]
+        y[nan] = np.vecdot(np.where(w != 0, s, 0.0), w)
+    return y
 
 
 def observability_matrix(a, c) -> np.ndarray:
@@ -169,10 +174,10 @@ def krylov_matrix(a, x0) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(states, -1, -2))
 
 
-def is_observable(a, c, tol: float = DEFAULT_RANK_TOL) -> tuple[bool, int]:
+def is_observable(a, c) -> tuple[bool, int]:
     """(full-rank flag, numerical rank) of the observability matrix."""
     q = observability_matrix(a, c)
-    rank = numerical_rank(q, tol)
+    rank = numerical_rank(q)
     return rank == q.shape[-1], rank
 
 

@@ -135,10 +135,10 @@ def _hankel(y, k: int, n: int, rows: int | None = None) -> np.ndarray:
     overdetermined and affine solves, the residual check and prediction.
     """
     rows = n if rows is None else rows
-    y = np.ascontiguousarray(y[..., k:])
-    if y.shape[-1] < rows + n - 1:  # numpy bounds the view by the whole stack only
+    if y.shape[-1] < k + rows + n - 1:  # numpy bounds the view by the whole stack only
         raise InsufficientData(f"need {k + rows + n - 1} samples for {rows} windows of "
-                               f"length {n} from k={k}, have {k + y.shape[-1]}")
+                               f"length {n} from k={k}, have {y.shape[-1]}")
+    y = np.ascontiguousarray(y[..., k:])
     # np.ndarray on y's buffer rather than as_strided, whose helper objects
     # raise the peak resident set by about 1.5 MB over many calls
     h = np.ndarray(y.shape[:-1] + (rows, n), y.dtype, y, 0, y.strides + y.strides[-1:])
@@ -173,27 +173,7 @@ def identify(series: TimeSeries, n: int, k: int = 0,
     With ``overdetermined=True``, every available window row enters a
     least-squares solve instead.
     """
-    _check_window(n, k)
-    need = k + 2 * n
-    if len(series) < need:
-        raise InsufficientData(f"need {need} samples to identify order {n} at k={k}")
-    y = series.values
-    if overdetermined:
-        h = _hankel(y, k, n, len(y) - n - k)
-        sol, *_ = np.linalg.lstsq(h, y[k + n:], rcond=None)
-        cond = condition_estimate(h)
-        if cond > SINGULAR_CONDITION_CAP:
-            raise _cap_exceeded("window", cond)
-    else:
-        sol, cond = _solve_windows(_hankel(y, k, n)[None], y[None, k + n:k + 2 * n])
-        sol, cond = sol[0], float(cond[0])
-        if cond > SINGULAR_CONDITION_CAP:
-            raise _cap_exceeded("Hankel", cond)
-    coeffs = -sol
-    model = PredictionModel(coeffs=coeffs, step=series.step)
-    residual = _window_residual(y, k, n, coeffs, None)
-    return IdentReport(model=model, window_start=k, residual=residual,
-                       condition_estimate=cond)
+    return _identify(series, n, k, overdetermined=overdetermined)
 
 
 def identify_affine(series: TimeSeries, n: int, k: int = 0) -> IdentReport:
@@ -202,19 +182,29 @@ def identify_affine(series: TimeSeries, n: int, k: int = 0) -> IdentReport:
     Solves the (n+1) x (n+1) system whose rows append a constant-1 column
     to consecutive length-n windows.
     """
+    return _identify(series, n, k, affine=True)
+
+
+def _identify(series: TimeSeries, n: int, k: int, affine: bool = False,
+              overdetermined: bool = False) -> IdentReport:
+    """The body of both entry points: one view whose row i is the window
+    y_{k+i}, ..., y_{k+i+n-1} followed by the sample it predicts."""
     _check_window(n, k)
-    need = k + 2 * n + 1
-    if len(series) < need:
-        raise InsufficientData(f"need {need} samples for affine order {n} at k={k}")
     y = series.values
-    h = np.ones((n + 1, n + 1))
-    h[:, :n] = _hankel(y, k, n, n + 1)
-    sol, cond = _solve_windows(h[None], y[None, k + n:k + 2 * n + 1])
-    sol, cond = sol[0], float(cond[0])
+    v = _hankel(y, k, n + 1, max(n + affine, len(y) - n - k))  # the one length check
+    if overdetermined:
+        sol, *_ = np.linalg.lstsq(v[:, :n], v[:, n], rcond=None)
+        cond = condition_estimate(v[:, :n])
+    else:
+        lead = v[:n + affine]
+        h = np.column_stack((lead[:, :n], np.ones(n + 1))) if affine else lead[:, :n]
+        sol, cond = _solve_windows(h[None], lead[None, :, n])
+        sol, cond = sol[0], float(cond[0])
     if cond > SINGULAR_CONDITION_CAP:
-        raise _cap_exceeded("augmented window", cond)
+        what = "window" if overdetermined else "augmented window" if affine else "Hankel"
+        raise _cap_exceeded(what, cond)
     coeffs = -sol[:n]
-    offset = float(sol[n])
+    offset = float(sol[n]) if affine else None
     model = PredictionModel(coeffs=coeffs, offset=offset, step=series.step)
     residual = _window_residual(y, k, n, coeffs, offset)
     return IdentReport(model=model, window_start=k, residual=residual,
@@ -255,16 +245,16 @@ def predict(model: PredictionModel, seed, steps: int) -> TimeSeries:
     return TimeSeries(out, step=model.step)
 
 
-def estimate_order(series: TimeSeries, n_max: int, tol: float = DEFAULT_RANK_TOL) -> int:
+def estimate_order(series: TimeSeries, n_max: int) -> int:
     """Smallest n whose n x n Hankel is full rank while the (n+1) one is not."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     need = 2 * n_max + 1
     if len(series) < need:
         raise InsufficientData(f"need {need} samples to scan orders up to {n_max}")
-    rank = numerical_rank(_hankel(series.values, 0, 1), tol)
+    rank = numerical_rank(_hankel(series.values, 0, 1), DEFAULT_RANK_TOL)
     for n in range(1, n_max + 1):  # each leading Hankel is ranked once
-        next_rank = numerical_rank(_hankel(series.values, 0, n + 1), tol)
+        next_rank = numerical_rank(_hankel(series.values, 0, n + 1), DEFAULT_RANK_TOL)
         if rank == n and next_rank <= n:
             return n
         rank = next_rank
@@ -299,12 +289,12 @@ def verify_conjugacy(model: PredictionModel, sys: SystemSpec,
                            conjugate=coeff_error <= tol)
 
 
-def assess_stability(model: PredictionModel, margin: float = STABILITY_MARGIN) -> str:
+def assess_stability(model: PredictionModel) -> str:
     """Classify by spectral radius: below 1 stable, above 1 unstable."""
     rho = float(np.abs(poly_roots(model.polynomial)).max())
-    if rho < 1.0 - margin:
+    if rho < 1.0 - STABILITY_MARGIN:
         return "asymptotically-stable"
-    if rho > 1.0 + margin:
+    if rho > 1.0 + STABILITY_MARGIN:
         return "unstable"
     return "marginal"
 

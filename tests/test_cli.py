@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -242,7 +243,21 @@ class TestSimulateCommand:
                                  "--x0", "1,1", "--len", "2000")
         assert code == 1
         assert out == ""
-        assert err == "NonFinite: simulation diverges: sample 1476 of 2000 is not finite\n"
+        assert err == "NonFinite: simulation diverges: sample 1477 of 2000 is not finite\n"
+
+    def test_last_finite_fibonacci_sample(self, capsys, tmp_path, fib_system):
+        # the last state is (F_1476, inf); c = (1, 0) gives 1 * F_1476 + 0 * inf
+        out = tmp_path / "fib.txt"
+        code, _, err = run(capsys, "simulate", "--system", str(fib_system),
+                           "--x0", "1,1", "--len", "1476", "--out", str(out))
+        assert (code, err) == (0, "")
+        y = io.read_series(out).values
+        a, b = 1, 1
+        for _ in range(1474):
+            a, b = b, a + b
+        # F_1476, up to the rounding of 1474 float additions
+        assert y.size == 1476 and y[-1] == 1.3069892237633987e+308
+        assert math.isclose(y[-1], b, rel_tol=1e-15)
 
 
 class TestMonteCarloCommand:

@@ -28,6 +28,14 @@ ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 FIB = np.array([[0.0, 1.0], [1.0, 1.0]])
 
 
+def fibonacci(m: int) -> int:
+    """F_m as an exact integer, F_1 = F_2 = 1."""
+    a, b = 0, 1
+    for _ in range(m):
+        a, b = b, a + b
+    return a
+
+
 class TestSimulateDiscrete:
     def test_fixed_dynamics(self):
         sys = SystemSpec("discrete", np.eye(2), [1, 0])
@@ -52,11 +60,28 @@ class TestSimulateDiscrete:
         sys = SystemSpec("discrete", FIB, [1, 0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            # the state's second entry overflows one step before the output,
-            # and 0 * inf makes that output NaN
-            with pytest.raises(NonFinite, match="^simulation diverges: sample 1476 of 2000 "
+            # F_1477 is the first Fibonacci number above the largest double
+            with pytest.raises(NonFinite, match="^simulation diverges: sample 1477 of 2000 "
                                                 "is not finite$"):
                 simulate_discrete(sys, [1, 1], 2000)
+
+    def test_zero_weight_ignores_an_overflowed_entry(self):
+        # the last state is (F_1476, inf): c = (1, 0) reads only the finite entry
+        y = simulate_discrete(SystemSpec("discrete", FIB, [1, 0]), [1, 1], 1476).values
+        a, b = 1.0, 1.0
+        for _ in range(1474):
+            a, b = b, a + b
+        assert y[-1] == b  # the float recurrence, rounded the same way
+        assert math.isclose(b, fibonacci(1476), rel_tol=1e-15)
+
+    def test_zero_weight_in_a_stack(self):
+        c = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = _iterate(np.stack([FIB, FIB]), None, c, np.ones((2, 2)), 1476)
+        single = simulate_discrete(SystemSpec("discrete", FIB, [1, 0]), [1, 1], 1476).values
+        np.testing.assert_array_equal(y[0], single)
+        np.testing.assert_array_equal(y[1, :-1], single[1:])
+        assert y[1, -1] == math.inf
 
 
 class TestStackedSystems:

@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from linident import ident, numerical_rank
+from linident import ident, io, numerical_rank
 from linident import (
     DimensionMismatch,
     InsufficientData,
@@ -125,6 +126,47 @@ class TestIdentifyAffine:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
             identify_affine(TimeSeries([0, 1, 3, 7]), 2)
+
+
+FORMS = {
+    "exact": (identify, 0),
+    "overdetermined": (lambda series, n, k: identify(series, n, k, overdetermined=True), 0),
+    "affine": (identify_affine, 1),
+}
+
+
+class TestIdentifyForms:
+    """The exact, overdetermined and affine forms share one body."""
+
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("form", FORMS)
+    def test_shortest_series(self, form, k):
+        fit, extra = FORMS[form]
+        n = 3
+        need = k + 2 * n + extra
+        y = np.random.default_rng(5).standard_normal(need)
+        with pytest.raises(InsufficientData):
+            fit(TimeSeries(y[:-1]), n, k)
+        report = fit(TimeSeries(y), n, k)
+        assert report.model.order == n and report.window_start == k
+
+    # recorded before the forms were merged, with numpy 2.4 (OpenBLAS 0.3.31)
+    # on x86-64; another LAPACK build may round differently
+    GOLDEN = {
+        ("exact", 0): "6108b9219091aea21a7c4320909acd8afb79f21495ce8c276fc41727a746737e",
+        ("overdetermined", 0): "0267b32889a87ea82c7f8758039c52f5c1a5afab97ae8d5d3dff0009238e17c7",
+        ("affine", 0): "802234709e36c6d923d9600e0456709dbd7518e0dae8a33d03b24b2a06f4a413",
+        ("exact", 2): "c858b93b306f984ee915e89ffc6a8eb80c4564eedd9d7fb4853c62f75c928727",
+        ("overdetermined", 2): "5aad0a698340c6a85bc1a78a64ba9d7165631fae70f58223042594f7731e4911",
+        ("affine", 2): "2e38e42a48efc575d9c1bbfc8057652a9faa45946e352d0f5da0cba665a4b16b",
+    }
+
+    @pytest.mark.parametrize("form, k", GOLDEN)
+    def test_model_document_bits(self, form, k):
+        a, c, x0 = draw_continuous(np.random.default_rng(404), 4)
+        series = sample_continuous(SystemSpec("continuous", a, c, step=0.01), x0, 200)
+        doc = io.dumps(io.model_to_dict(FORMS[form][0](series, 4, k)))
+        assert hashlib.sha256(doc.encode()).hexdigest() == self.GOLDEN[form, k]
 
 
 class TestPredict:
