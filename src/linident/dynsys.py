@@ -6,13 +6,15 @@ only) or a sampling step (continuous time only). All outputs are scalar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, MissingStep, NonFinite, NotObservable
+from .errors import MissingStep, NonFinite, NotObservable
 from .numkit import (
     _as_square,
+    _as_vector,
+    _positive,
     char_poly,
     mat_exp,
     numerical_rank,
@@ -29,18 +31,6 @@ __all__ = [
     "sample_continuous",
     "simulate_discrete",
 ]
-
-
-def _as_vector(v, n: int | None = None, what: str = "vector",
-               stacked: bool = False) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(v, dtype=float))
-    if x.ndim != 1 and not stacked:
-        raise DimensionMismatch(f"{what} must be 1-D, got ndim={x.ndim}")
-    if n is not None and x.shape[-1] != n:
-        raise DimensionMismatch(f"{what} has length {x.shape[-1]}, expected {n}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{what} entries must be finite")
-    return x
 
 
 @dataclass(frozen=True)
@@ -72,8 +62,7 @@ class SystemSpec:
         if self.step is not None:
             if self.kind == "discrete":
                 raise ValueError("discrete systems carry no sampling step")
-            if not (self.step > 0):
-                raise ValueError("sampling step must be positive")
+            _positive(self.step, "sampling step")
 
     @property
     def order(self) -> int:
@@ -88,14 +77,9 @@ class TimeSeries:
     step: float | None = None
 
     def __post_init__(self):
-        v = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if v.ndim != 1 or v.size < 1:
-            raise ValueError("a series needs at least one sample")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("series values must be finite")
-        if self.step is not None and not (self.step > 0):
-            raise ValueError("step must be positive")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _as_vector(self.values, what="series values"))
+        if self.step is not None:
+            _positive(self.step, "step")
 
     def __len__(self) -> int:
         return self.values.size

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .dynsys import _iterate, krylov_matrix, observability_matrix
 from .ident import SINGULAR_CONDITION_CAP, _cap_exceeded, _hankel, _solve_windows
-from .numkit import char_poly, discriminant, mat_exp, numerical_rank
+from .numkit import _as_vector, _positive, char_poly, discriminant, mat_exp, numerical_rank
 
 SUCCESS = "success"
 FAILURE = "failure"
@@ -73,8 +73,7 @@ class SamplingBox:
     hi: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
-            raise ValueError("box bounds must be finite")
+        _as_vector([self.lo, self.hi], what="box bounds")
         if not self.lo < self.hi:
             raise ValueError("box needs lo < hi")
 
@@ -97,10 +96,11 @@ class TrialConfig:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if not self.success_tol > 0:
-            raise ValueError("success_tol must be positive")
+        _positive(self.success_tol, "success_tol")
         if not self.cond_cap > 1:
             raise ValueError("cond_cap must exceed 1")
+        if self.cond_cap > SINGULAR_CONDITION_CAP:  # _end_to_end rejects every trial above it
+            raise ValueError(f"cond_cap must not exceed {SINGULAR_CONDITION_CAP:g}")
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,8 @@ from .dynsys import SystemSpec, TimeSeries, _require_finite, char_poly_of_sample
 from .numkit import (
     DEFAULT_RANK_TOL,
     MonicPolynomial,
+    _as_vector,
+    _positive,
     companion_matrix,
     condition_estimate,
     numerical_rank,
@@ -62,16 +64,11 @@ class PredictionModel:
     step: float | None = None
 
     def __post_init__(self):
-        # contiguous, so that predict's dot runs one kernel whatever the
-        # caller's layout (a strided operand takes another, with other bits)
-        c = np.ascontiguousarray(self.coeffs, dtype=float)
-        if c.ndim != 1 or c.size < 1:
-            raise ValueError("coeffs must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
-        if self.step is not None and not (self.step > 0):
-            raise ValueError("step must be positive")
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "coeffs", _as_vector(self.coeffs, what="coefficients"))
+        if self.offset is not None and not math.isfinite(self.offset):
+            raise ValueError("offset must be finite")
+        if self.step is not None:
+            _positive(self.step, "step")
 
     @property
     def order(self) -> int:
@@ -225,9 +222,7 @@ def _window_residual(y, k, n, coeffs, offset) -> float:
 
 def predict(model: PredictionModel, seed, steps: int) -> TimeSeries:
     """Continue the recurrence past the last n observed values."""
-    window = np.atleast_1d(np.asarray(seed, dtype=float))
-    if window.shape != (model.order,):
-        raise DimensionMismatch(f"seed window of length {window.size}, expected {model.order}")
+    window = _as_vector(seed, model.order, "seed window")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     offset = 0.0 if model.offset is None else model.offset

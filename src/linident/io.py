@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import bisect
 import json
-import math
 from array import array
 
 import numpy as np
@@ -20,6 +19,7 @@ import numpy as np
 from .errors import DimensionMismatch, EmptySeries, ParseError
 from .dynsys import SystemSpec, TimeSeries
 from .ident import IdentReport, PredictionModel
+from .numkit import _positive
 
 FORMAT_VERSION = 1
 
@@ -70,9 +70,10 @@ def read_series(path) -> TimeSeries:
                         step = float(body[len("step="):])
                     except ValueError as exc:
                         raise ParseError(f"bad step value at line {lineno}", line=lineno) from exc
-                    if not (math.isfinite(step) and step > 0):
-                        raise ParseError(f"step must be positive and finite at line {lineno}",
-                                         line=lineno)
+                    try:
+                        _positive(step, "step")
+                    except ValueError as exc:
+                        raise ParseError(f"{exc} at line {lineno}", line=lineno) from exc
     except ParseError:
         _finite_samples(values, skipped)  # a non-finite sample on an earlier line comes first
         raise
@@ -173,20 +174,26 @@ def _read_document(path) -> dict:
     return doc
 
 
+def _from_document(what: str, build):
+    """``build()``, with a missing field or a value it rejects raised as
+    ParseError naming ``what``."""
+    try:
+        return build()
+    except KeyError as exc:
+        raise ParseError(f"{what} is missing field {exc}") from exc
+    except (TypeError, ValueError, DimensionMismatch) as exc:
+        raise ParseError(f"{what}: {exc}") from exc
+
+
 def read_system(path) -> SystemSpec:
     doc = _read_document(path)
-    try:
-        return SystemSpec(
-            kind=doc["kind"],
-            a=np.array(doc["A"], dtype=float),
-            c=np.array(doc["c"], dtype=float),
-            b=np.array(doc["b"], dtype=float) if "b" in doc else None,
-            step=float(doc["step"]) if "step" in doc else None,
-        )
-    except KeyError as exc:
-        raise ParseError(f"system file {path} is missing field {exc}") from exc
-    except (TypeError, ValueError, DimensionMismatch) as exc:  # a value the spec rejects
-        raise ParseError(f"system file {path}: {exc}") from exc
+    return _from_document(f"system file {path}", lambda: SystemSpec(
+        kind=doc["kind"],
+        a=np.array(doc["A"], dtype=float),
+        c=np.array(doc["c"], dtype=float),
+        b=np.array(doc["b"], dtype=float) if "b" in doc else None,
+        step=float(doc["step"]) if "step" in doc else None,
+    ))
 
 
 def model_to_dict(report: IdentReport) -> dict:
@@ -207,16 +214,11 @@ def model_to_dict(report: IdentReport) -> dict:
 
 
 def model_from_dict(doc: dict) -> PredictionModel:
-    try:
-        return PredictionModel(
-            coeffs=np.array(doc["coeffs"], dtype=float),
-            offset=float(doc["offset"]) if "offset" in doc else None,
-            step=float(doc["step"]) if "step" in doc else None,
-        )
-    except KeyError as exc:
-        raise ParseError(f"model document is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:  # a value the model rejects
-        raise ParseError(f"model document: {exc}") from exc
+    return _from_document("model document", lambda: PredictionModel(
+        coeffs=np.array(doc["coeffs"], dtype=float),
+        offset=float(doc["offset"]) if "offset" in doc else None,
+        step=float(doc["step"]) if "step" in doc else None,
+    ))
 
 
 def write_model(report: IdentReport, path) -> None:

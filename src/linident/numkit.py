@@ -60,6 +60,30 @@ def _as_square(a, stacked: bool = False) -> np.ndarray:
     return m
 
 
+def _as_vector(v, n: int | None = None, what: str = "vector",
+               stacked: bool = False) -> np.ndarray:
+    """Validate and return ``v`` as a 1-D float array with finite entries,
+    of length ``n`` when given; ``stacked=True`` lets leading axes stack
+    vectors. C order keeps a dot over ``v`` on one kernel whatever the
+    caller's layout (a strided operand takes another, with other bits)."""
+    x = np.ascontiguousarray(v, dtype=float)
+    if x.ndim != 1 and not stacked:
+        raise DimensionMismatch(f"{what} must be 1-D, got ndim={x.ndim}")
+    if x.shape[-1] < 1:
+        raise DimensionMismatch(f"{what} must be non-empty")
+    if n is not None and x.shape[-1] != n:
+        raise DimensionMismatch(f"{what} has length {x.shape[-1]}, expected {n}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} must be finite")
+    return x
+
+
+def _positive(x, what: str) -> None:
+    """ValueError unless ``x`` is positive and finite: every step and tolerance."""
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError(f"{what} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class MonicPolynomial:
     """Monic polynomial l^n + a_{n-1} l^{n-1} + ... + a_1 l + a_0.
@@ -70,12 +94,7 @@ class MonicPolynomial:
     coeffs: np.ndarray = field()
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
-        if c.ndim != 1 or c.size < 1:
-            raise ValueError("coeffs must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "coeffs", _as_vector(self.coeffs, what="coefficients"))
 
     @property
     def degree(self) -> int:
@@ -226,8 +245,7 @@ def numerical_rank(m, tol: float = DEFAULT_RANK_TOL):
 
     A stack of matrices gives an integer array of ranks.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _positive(tol, "tol")
     a = as_matrix(m, stacked=True)
     sv = np.linalg.svd(a, compute_uv=False)
     rank = np.count_nonzero(sv > tol * sv[..., :1], axis=-1)

@@ -78,10 +78,13 @@ def stacked(draws):
     return tuple(np.stack(part) for part in zip(*draws))
 
 
+# a cond_cap under SINGULAR_CONDITION_CAP rejects the trials between the two
 @pytest.mark.parametrize("n", NS)
-@pytest.mark.parametrize("prop", PROPERTIES)
-def test_blocks_match_reference(prop, n):
-    config = TrialConfig(n=n, trials=TRIALS, seed=SEED)
+@pytest.mark.parametrize("prop, cond_cap", [(p, TrialConfig.cond_cap) for p in PROPERTIES] + [
+    ("end-to-end-identifiable", 1e6), ("end-to-end-continuous", 1e6)],
+    ids=[*PROPERTIES, "end-to-end-identifiable-cap-1e6", "end-to-end-continuous-cap-1e6"])
+def test_blocks_match_reference(prop, cond_cap, n):
+    config = TrialConfig(n=n, trials=TRIALS, seed=SEED, cond_cap=cond_cap)
     draws = [draw_sample(config, i) for i in range(TRIALS)]
     expected = [reference_evaluate(prop, *draw, config) for draw in draws]
     got = []

@@ -111,6 +111,16 @@ class TestPredictCommand:
         assert code == 2
         assert err.splitlines()[0] == "UsageError: steps must be >= 1"
 
+    def test_non_finite_window_exits_two(self, capsys, tmp_path, fib_series):
+        model = tmp_path / "model.json"
+        run(capsys, "identify", "--series", str(fib_series), "--n", "2",
+            "--out", str(model))
+        code, out, err = run(capsys, "predict", "--model", str(model),
+                             "--seed-window", "nan,1", "--steps", "3")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == "UsageError: seed window must be finite"
+
     def test_divergent_model_exits_one(self, capsys, tmp_path):
         model = tmp_path / "model.json"
         model.write_text('{"format_version": 1, "coeffs": [-10]}\n')
@@ -217,15 +227,17 @@ class TestSimulatePipeline:
 class TestSimulateCommand:
     @pytest.mark.parametrize("kind, flags, message", [
         ("discrete", ["--x0", "1,1", "--len", "0"], "length must be >= 1"),
-        ("discrete", ["--x0", "nan,1", "--len", "3"], "x0 entries must be finite"),
+        ("discrete", ["--x0", "nan,1", "--len", "3"], "x0 must be finite"),
+        ("discrete", ["--x0", "1,abc", "--len", "3"], "bad --x0: '1,abc'"),
         ("discrete", ["--x0", "1", "--len", "3"], "--x0 needs exactly 2 values, got 1"),
         ("discrete", ["--x0", "1,1", "--len", "3", "--lambda", "0.1"],
          "discrete systems carry no sampling step"),
         ("continuous", ["--x0", "1,0", "--len", "3", "--lambda", "0"],
-         "sampling step must be positive"),
+         "sampling step must be positive and finite"),
         ("continuous", ["--x0", "1,0", "--len", "3", "--lambda", "nan"],
-         "sampling step must be positive"),
-    ], ids=["len-0", "x0-nan", "x0-short", "lambda-discrete", "lambda-0", "lambda-nan"])
+         "sampling step must be positive and finite"),
+    ], ids=["len-0", "x0-nan", "x0-abc", "x0-short", "lambda-discrete", "lambda-0",
+            "lambda-nan"])
     def test_invalid_input_exits_two(self, capsys, tmp_path, kind, flags, message):
         path = tmp_path / "system.json"
         io.write_system(SystemSpec(kind, [[0, 1], [1, 1]], [1, 0],
@@ -291,9 +303,15 @@ class TestMonteCarloCommand:
         (["--trials", "0"], "trials must be >= 1"),
         (["--n", "0"], "n must be >= 1"),
         (["--box=1,0"], "box needs lo < hi"),
+        (["--box=nan,1"], "box bounds must be finite"),
         (["--cond-cap", "0.5"], "cond_cap must exceed 1"),
+        (["--cond-cap", "1e12"], "cond_cap must not exceed 1e+10"),
+        (["--cond-cap", "inf"], "cond_cap must not exceed 1e+10"),
+        (["--tol", "0"], "success_tol must be positive and finite"),
+        (["--tol", "inf"], "success_tol must be positive and finite"),
         (["--seed", "-1"], "seed must be >= 0"),
-    ], ids=["trials", "n", "box", "cond-cap", "seed"])
+    ], ids=["trials", "n", "box", "box-nan", "cond-cap", "cond-cap-1e12", "cond-cap-inf",
+            "tol-0", "tol-inf", "seed"])
     def test_invalid_config_exits_two(self, capsys, flag, message):
         code, out, err = run(capsys, "montecarlo", "--property", "observable",
                              "--n", "3", "--trials", "10", *flag)

@@ -9,6 +9,7 @@ from linident import (
     DimensionMismatch,
     InsufficientData,
     MissingStep,
+    MonicPolynomial,
     NoOrderFound,
     PredictionModel,
     SingularHankel,
@@ -322,3 +323,34 @@ class TestRecoverContinuousSpectrum:
             spectrum = recover_continuous_spectrum(model)
             truth = np.linalg.eigvals(a)
             assert greedy_spectrum_distance(spectrum.values, truth) <= 1e-6
+
+
+class TestInputValues:
+    """Every vector and every step goes through one rule, whichever type
+    or function receives it."""
+
+    @pytest.mark.parametrize("value, error, message", [
+        ([], DimensionMismatch, "must be non-empty"),
+        ([[1.0, 2.0]], DimensionMismatch, "must be 1-D"),
+        ([1.0, math.nan], ValueError, "must be finite"),
+    ], ids=["empty", "matrix", "nan"])
+    @pytest.mark.parametrize("make", [
+        lambda v: TimeSeries(v),
+        lambda v: PredictionModel(v),
+        lambda v: MonicPolynomial(v),
+        lambda v: SystemSpec("discrete", np.eye(2), v),
+        lambda v: predict(PredictionModel([-1.0, -1.0]), v, 1),
+    ], ids=["TimeSeries", "PredictionModel", "MonicPolynomial", "SystemSpec-c", "predict-seed"])
+    def test_vector_rule(self, make, value, error, message):
+        with pytest.raises(error, match=message):
+            make(value)
+
+    @pytest.mark.parametrize("step", [0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("make", [
+        lambda step: TimeSeries([1.0, 2.0], step=step),
+        lambda step: PredictionModel([-1.0], step=step),
+        lambda step: SystemSpec("continuous", np.eye(2), [1, 0], step=step),
+    ], ids=["TimeSeries", "PredictionModel", "SystemSpec"])
+    def test_step_must_be_positive_and_finite(self, make, step):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            make(step)

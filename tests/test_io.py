@@ -135,7 +135,13 @@ class TestInvalidValues:
         (io.read_model, '"coeffs": [1e400]', "coefficients must be finite"),
         (io.read_model, '"coeffs": [1.0], "step": -1', "step must be positive"),
         (io.read_model, '"coeffs": [1.0], "offset": [1]', "float"),
-    ], ids=["kind", "inf-entry", "shape", "object-matrix", "inf-coeff", "step", "list-offset"])
+        (io.read_model, '"coeffs": [1.0], "step": 1e400', "step must be positive and finite"),
+        (io.read_model, '"coeffs": [1.0], "offset": 1e400', "offset must be finite"),
+        (io.read_model, '"coeffs": [1.0], "offset": NaN', "offset must be finite"),
+        (io.read_model, '"coeffs": []', "coefficients must be non-empty"),
+        (io.read_model, '"coeffs": [[1, 2]]', "coefficients must be 1-D"),
+    ], ids=["kind", "inf-entry", "shape", "object-matrix", "inf-coeff", "step", "list-offset",
+            "inf-step", "inf-offset", "nan-offset", "empty-coeffs", "matrix-coeffs"])
     def test_failed_validation_is_a_parse_error(self, tmp_path, reader, body, message):
         p = tmp_path / "doc.json"
         p.write_text('{"format_version": 1, ' + body + "}\n")

@@ -1,5 +1,6 @@
 """Export lists name only what exists, and the package re-exports exactly
-those objects, so a deleted function cannot linger in either place."""
+those objects, so a deleted function cannot linger in either place; nor can
+an import whose last use was deleted."""
 
 import ast
 import importlib
@@ -41,3 +42,19 @@ def test_package_reexports_module_exports():
         module = importlib.import_module(f"linident.{module_name}")
         assert name in exports(module), f"{module_name}.{name} is not exported"
         assert getattr(linident, name) is getattr(module, name)
+
+
+SOURCES = sorted(p for p in pathlib.Path(linident.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    """Every module-level import of a module is used in it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name.split(".")[0] for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert [name for name in imported if name not in used] == []
