@@ -31,7 +31,6 @@ from .numkit import (
     mat_exp,
     numerical_rank,
     poly_roots,
-    resultant,
 )
 from .dynsys import (
     SystemSpec,

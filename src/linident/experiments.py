@@ -25,6 +25,7 @@ and must not be falsified by rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +77,8 @@ class SamplingBox:
         _as_vector([self.lo, self.hi], what="box bounds")
         if not self.lo < self.hi:
             raise ValueError("box needs lo < hi")
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError("box width hi - lo must be finite")
 
 
 @dataclass(frozen=True)

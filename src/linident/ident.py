@@ -275,6 +275,7 @@ def verify_conjugacy(model: PredictionModel, sys: SystemSpec,
     For a continuous system the reference is the sampled matrix
     exp(step*A), whose characteristic polynomial the model should carry.
     """
+    _positive(tol, "tol")
     if model.order != sys.order:
         raise DimensionMismatch(f"model order {model.order} != system order {sys.order}")
     truth = char_poly_of_sampled(sys)

@@ -10,8 +10,8 @@ losslessly.
 
 from __future__ import annotations
 
-import bisect
 import json
+import math
 from array import array
 
 import numpy as np
@@ -47,18 +47,19 @@ def read_series(path) -> TimeSeries:
     checked for blanks, comments and the step header.
     """
     values = array("d")
-    skipped = []  # len(values) at each blank or comment line
     step = None
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for raw in fh:
+            for lineno, raw in enumerate(fh, 1):
                 try:
-                    values.append(float(raw))
-                    continue
+                    x = float(raw)
                 except ValueError:
                     pass
-                lineno = len(values) + len(skipped) + 1
-                skipped.append(len(values))
+                else:
+                    if not math.isfinite(x):
+                        raise ParseError(f"non-finite sample at line {lineno}", line=lineno)
+                    values.append(x)
+                    continue
                 line = raw.strip()
                 if not line:
                     continue
@@ -74,26 +75,11 @@ def read_series(path) -> TimeSeries:
                         _positive(step, "step")
                     except ValueError as exc:
                         raise ParseError(f"{exc} at line {lineno}", line=lineno) from exc
-    except ParseError:
-        _finite_samples(values, skipped)  # a non-finite sample on an earlier line comes first
-        raise
     except UnicodeDecodeError as exc:  # raised by the line iterator, a chunk at a time
         raise ParseError(f"series file {path} is not UTF-8 text: {exc.reason}") from exc
     if not values:
         raise EmptySeries(f"no samples in {path}")
-    return TimeSeries(_finite_samples(values, skipped), step=step)
-
-
-def _finite_samples(values: array, skipped: list) -> np.ndarray:
-    """The samples as an array, or ParseError at the line of the first
-    non-finite one."""
-    y = np.frombuffer(values)
-    finite = np.isfinite(y)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        lineno = i + 1 + bisect.bisect_right(skipped, i)
-        raise ParseError(f"non-finite sample at line {lineno}", line=lineno)
-    return y
+    return TimeSeries(np.frombuffer(values), step=step)
 
 
 def format_series(series: TimeSeries) -> str:

@@ -2,14 +2,14 @@
 
 Everything here is deterministic: Faddeev-LeVerrier characteristic
 polynomials, scaling-and-squaring matrix exponentials and Sylvester-matrix
-resultants; roots come from LAPACK through ``np.roots``. Targets small dense
-problems (n up to a few tens); no sparsity, no extended precision.
+discriminants; roots come from LAPACK through ``np.roots``. Targets small
+dense problems (n up to a few tens); no sparsity, no extended precision.
 
-``char_poly``, ``mat_exp``, ``resultant``, ``discriminant``,
-``numerical_rank`` and ``condition_estimate`` also take stacks: leading axes
-in front of the matrix (or coefficient) axes, each slice handled as if it
-were passed alone. A single matrix is the unstacked case and keeps its
-scalar or ``MonicPolynomial`` result.
+``char_poly``, ``mat_exp``, ``discriminant``, ``numerical_rank`` and
+``condition_estimate`` also take stacks: leading axes in front of the matrix
+(or coefficient) axes, each slice handled as if it were passed alone. A
+single matrix is the unstacked case and keeps its scalar or
+``MonicPolynomial`` result.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "mat_exp",
     "numerical_rank",
     "poly_roots",
-    "resultant",
 ]
 
 
@@ -188,44 +187,9 @@ def sort_complex_lex(z: np.ndarray) -> np.ndarray:
     return z[order]
 
 
-def _descending_coeffs(p) -> np.ndarray:
-    """Descending-order coefficients of a MonicPolynomial or of an array.
-
-    Arrays are read in ascending order (constant term first) along the last
-    axis; leading axes stack polynomials of one degree.
-    """
-    if isinstance(p, MonicPolynomial):
-        return p.descending()
-    c = np.atleast_1d(np.asarray(p, dtype=float))
-    if c.shape[-1] < 2:
-        raise ValueError("polynomial must have degree >= 1")
-    c = c[..., ::-1]
-    if np.any(c[..., 0] == 0.0):
-        raise ValueError("leading coefficient must be nonzero")
-    return c
-
-
-def resultant(p, q):
-    """Resultant of two polynomials as the Sylvester-matrix determinant.
-
-    ``p`` and ``q`` are MonicPolynomial instances or ascending coefficient
-    arrays (constant term first); stacked arrays give an array of resultants.
-    """
-    cp = _descending_coeffs(p)
-    cq = _descending_coeffs(q)
-    m = cp.shape[-1] - 1
-    l = cq.shape[-1] - 1
-    s = np.zeros(np.broadcast_shapes(cp.shape[:-1], cq.shape[:-1]) + (m + l, m + l))
-    for i in range(l):
-        s[..., i, i:i + m + 1] = cp
-    for i in range(m):
-        s[..., l + i, i:i + l + 1] = cq
-    det = np.linalg.det(s)
-    return float(det) if s.ndim == 2 else det
-
-
 def discriminant(p):
-    """Discriminant of a monic polynomial: (-1)^{n(n-1)/2} R(p, p').
+    """Discriminant of a monic polynomial: (-1)^{n(n-1)/2} times the
+    determinant of the Sylvester matrix of p and p'.
 
     ``p`` is a MonicPolynomial, or a (..., n) array of its ascending
     coefficients (a_0, ..., a_{n-1}) as ``char_poly`` returns for a stack.
@@ -235,9 +199,15 @@ def discriminant(p):
     if n < 2:
         raise ValueError("discriminant requires degree >= 2")
     sign = -1.0 if (n * (n - 1) // 2) % 2 else 1.0
-    full = np.concatenate((coeffs, np.ones(coeffs.shape[:-1] + (1,))), axis=-1)
-    der = full[..., 1:] * np.arange(1, n + 1)  # ascending p'
-    return sign * resultant(full, der)
+    desc = np.concatenate((np.ones(coeffs.shape[:-1] + (1,)), coeffs[..., ::-1]), axis=-1)
+    der = desc[..., :-1] * np.arange(n, 0, -1)  # p' descending: n, (n-1) a_{n-1}, ..., a_1
+    s = np.zeros(coeffs.shape[:-1] + (2 * n - 1, 2 * n - 1))
+    for i in range(n - 1):
+        s[..., i, i:i + n + 1] = desc
+    for i in range(n):
+        s[..., n - 1 + i, i:i + n] = der
+    det = np.linalg.det(s)
+    return sign * (float(det) if s.ndim == 2 else det)
 
 
 def numerical_rank(m, tol: float = DEFAULT_RANK_TOL):

@@ -304,14 +304,15 @@ class TestMonteCarloCommand:
         (["--n", "0"], "n must be >= 1"),
         (["--box=1,0"], "box needs lo < hi"),
         (["--box=nan,1"], "box bounds must be finite"),
+        (["--box=-1e308,1e308"], "box width hi - lo must be finite"),
         (["--cond-cap", "0.5"], "cond_cap must exceed 1"),
         (["--cond-cap", "1e12"], "cond_cap must not exceed 1e+10"),
         (["--cond-cap", "inf"], "cond_cap must not exceed 1e+10"),
         (["--tol", "0"], "success_tol must be positive and finite"),
         (["--tol", "inf"], "success_tol must be positive and finite"),
         (["--seed", "-1"], "seed must be >= 0"),
-    ], ids=["trials", "n", "box", "box-nan", "cond-cap", "cond-cap-1e12", "cond-cap-inf",
-            "tol-0", "tol-inf", "seed"])
+    ], ids=["trials", "n", "box", "box-nan", "box-overflow", "cond-cap", "cond-cap-1e12",
+            "cond-cap-inf", "tol-0", "tol-inf", "seed"])
     def test_invalid_config_exits_two(self, capsys, flag, message):
         code, out, err = run(capsys, "montecarlo", "--property", "observable",
                              "--n", "3", "--trials", "10", *flag)

@@ -114,6 +114,17 @@ class TestEvaluateProperty:
         outcome, diag = evaluate_property("end-to-end-identifiable", c, a, x0, cfg)
         assert outcome in (SUCCESS, NUMERICAL_REJECTION)
 
+    def test_non_finite_characteristic_polynomial_is_rejected(self):
+        # A is nilpotent and every product is exact, so the series is finite and its
+        # Hankel window well conditioned, but Faddeev-LeVerrier overflows to NaN;
+        # powers of two keep matvec rounding (FMA) from overflowing the series first
+        e = 2.0 ** 530
+        outcome, diag = evaluate_property("end-to-end-identifiable", [1.0, 0.0],
+                                          [[e, e], [-e, -e]], [2.0 ** -330, 2.0 ** -331],
+                                          config(n=2, trials=1))
+        assert (outcome, diag) == (NUMERICAL_REJECTION, {
+            "error": "NonFinite", "message": "characteristic polynomial is not finite"})
+
     def test_unknown_property(self):
         cfg = config()
         with pytest.raises(ValueError):

@@ -273,6 +273,12 @@ class TestVerifyConjugacy:
         with pytest.raises(DimensionMismatch):
             verify_conjugacy(PredictionModel([-1.0]), SystemSpec("discrete", FIB, [1, 0]))
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, math.inf])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        model = identify(fib_series(5), 2).model
+        with pytest.raises(ValueError, match="^tol must be positive and finite$"):
+            verify_conjugacy(model, SystemSpec("discrete", FIB, [1, 0]), tol=tol)
+
 
 class TestAssessStability:
     def test_contracting_scalar(self):

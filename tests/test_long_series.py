@@ -229,3 +229,13 @@ class TestReader:
         p.write_text(f"1\ninf\n2\n{later}\n")
         with pytest.raises(ParseError, match="non-finite sample at line 2"):
             io.read_series(p)
+
+    @pytest.mark.parametrize("padding, message", [
+        (b"", "not UTF-8 text"),  # one decode chunk: it fails before line 2 is read
+        (b"0.5\n" * 5000, "non-finite sample at line 2"),  # the byte is 2 chunks of 8 KB on
+    ], ids=["same-chunk", "later-chunk"])
+    def test_non_finite_sample_before_a_non_utf8_byte(self, tmp_path, padding, message):
+        p = tmp_path / "s.txt"
+        p.write_bytes(b"1\ninf\n" + padding + b"\xff\n")
+        with pytest.raises(ParseError, match=message):
+            io.read_series(p)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from linident import (
+    DimensionMismatch,
     MonicPolynomial,
     char_poly,
     companion_matrix,
@@ -12,8 +13,8 @@ from linident import (
     mat_exp,
     numerical_rank,
     poly_roots,
-    resultant,
 )
+from linident.numkit import as_matrix
 
 
 class TestMatExp:
@@ -142,19 +143,10 @@ class TestPolyRoots:
 
 
 class TestResultantDiscriminant:
-    def test_coprime(self):
-        assert resultant(MonicPolynomial([-1, 0]), [0, 1]) == pytest.approx(-1.0)
-
-    def test_shared_root(self):
-        a = 1.7
-        assert resultant(MonicPolynomial([-a]), [-a, 1]) == pytest.approx(0.0, abs=1e-12)
-
     def test_quadratic_derivative(self):
-        # R(l^2 + a l + b, 2 l + a) = 4b - a^2; spot check (a, b) = (0, -1)
-        assert resultant(MonicPolynomial([-1, 0]), [0, 2]) == pytest.approx(-4.0)
+        # disc(l^2 + a l + b) = a^2 - 4b, through the Sylvester matrix of p and p' = 2l + a
         for a, b in [(0.5, 2.0), (-1.25, 0.75), (3.0, -2.0)]:
-            r = resultant(MonicPolynomial([b, a]), [a, 2])
-            assert r == pytest.approx(4 * b - a * a, rel=1e-12)
+            assert discriminant(MonicPolynomial([b, a])) == pytest.approx(a * a - 4 * b, rel=1e-12)
 
     def test_discriminant_quadratics(self):
         assert discriminant(MonicPolynomial([-1, 0])) == pytest.approx(4.0)
@@ -217,10 +209,6 @@ class TestStackedKernels:
             assert v == discriminant(char_poly(m))
         assert d[5] == pytest.approx(0.0, abs=1e-12)
 
-    def test_resultant(self):
-        p = np.array([[-1.0, 0.0, 1.0], [1.0, -2.0, 1.0]])
-        np.testing.assert_allclose(resultant(p, [0.0, 1.0]), [-1.0, 1.0], atol=1e-12)
-
     def test_mat_exp(self, stack):
         # sparse slices over many scales stop their series after different terms
         rng = np.random.default_rng(22)
@@ -251,3 +239,14 @@ class TestStackedKernels:
         assert isinstance(numerical_rank(np.eye(2)), int)
         assert isinstance(condition_estimate(np.eye(2)), float)
         assert isinstance(discriminant(MonicPolynomial([-1, 0])), float)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: as_matrix([1.0, 2.0]), DimensionMismatch, "expected a 2-D matrix, got ndim=1"),
+    (lambda: as_matrix(np.zeros((0, 3))), DimensionMismatch, r"empty matrix of shape \(0, 3\)"),
+    (lambda: mat_exp(np.eye(2), math.nan), ValueError, "t must be finite"),
+    (lambda: mat_exp(np.eye(2), math.inf), ValueError, "t must be finite"),
+], ids=["matrix-1d", "matrix-empty", "mat-exp-t-nan", "mat-exp-t-inf"])
+def test_invalid_input_raises(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
