@@ -15,7 +15,8 @@ regenerated on its own (``draw_sample``), and reports are bit-reproducible.
 Trials are evaluated in blocks of BLOCK draws stacked into (T, n) and
 (T, n, n) arrays: each kernel runs once per block, and every trial gets the
 outcome it gets when evaluated alone (``evaluate_property`` is the block of
-one).
+one). Each property decides a block as one int code array indexing
+OUTCOMES; a trial's diagnostics dict is built only when it is reported.
 
 Floating-point pathology (ill conditioning, overflow, pipeline errors) is
 counted as ``numerical_rejection``, a third outcome kept separate from
@@ -38,6 +39,7 @@ from .numkit import _as_vector, _positive, char_poly, discriminant, mat_exp, num
 SUCCESS = "success"
 FAILURE = "failure"
 NUMERICAL_REJECTION = "numerical_rejection"
+OUTCOMES = (SUCCESS, FAILURE, NUMERICAL_REJECTION)  # indexed by the outcome codes 0, 1, 2
 
 PROPERTIES = (
     "distinct-eigenvalues",
@@ -192,6 +194,12 @@ def evaluate_block(prop: str, c, a, x0, config: TrialConfig) -> list:
     trial whose Hankel window exceeds the condition cap is rejected before
     the solve. So no trial can make the block raise.
     """
+    codes, diagnostics = _evaluate(prop, c, a, x0, config)
+    return [(OUTCOMES[k], diagnostics(i)) for i, k in enumerate(codes)]
+
+
+def _evaluate(prop: str, c, a, x0, config: TrialConfig):
+    """Outcome codes (indices into OUTCOMES) and trial i's diagnostics builder."""
     if prop not in PROPERTIES:
         raise ValueError(f"unknown property {prop!r}")
     c, a, x0 = (np.asarray(v, dtype=float) for v in (c, a, x0))
@@ -209,11 +217,11 @@ def evaluate_block(prop: str, c, a, x0, config: TrialConfig) -> list:
         return _end_to_end(prop, c, a, x0, config)
 
 
-def _non_finite(what: str) -> tuple:
-    return NUMERICAL_REJECTION, {"error": "NonFinite", "message": f"{what} is not finite"}
+def _non_finite(what: str) -> dict:
+    return {"error": "NonFinite", "message": f"{what} is not finite"}
 
 
-def _distinct_eigenvalues(a, n: int) -> list:
+def _distinct_eigenvalues(a, n: int):
     coeffs = char_poly(a)
     scale = np.maximum(1.0, np.abs(coeffs).max(axis=-1)) ** (2 * n - 2)
     finite = np.isfinite(coeffs).all(axis=-1) & np.isfinite(scale)
@@ -221,23 +229,20 @@ def _distinct_eigenvalues(a, n: int) -> list:
     if n >= 2:
         d[finite] = discriminant(coeffs[finite])
         finite &= np.isfinite(d)
-    ok = np.abs(d) > DISCRIMINANT_FLOOR * scale
-    return [((SUCCESS if o else FAILURE), {"discriminant": float(v)}) if f
-            else _non_finite("discriminant")
-            for f, o, v in zip(finite, ok, d)]
+    codes = np.where(finite, np.abs(d) <= DISCRIMINANT_FLOOR * scale, 2)
+    return codes, lambda i: ({"discriminant": float(d[i])} if finite[i]
+                             else _non_finite("discriminant"))
 
 
-def _full_rank(m, what: str) -> list:
+def _full_rank(m, what: str):
     finite = np.isfinite(m).all(axis=(-2, -1))
     rank = np.zeros(len(m), dtype=int)
     rank[finite] = numerical_rank(m[finite])
-    n = m.shape[-1]
-    return [((SUCCESS if r == n else FAILURE), {"rank": int(r)}) if f
-            else _non_finite(what)
-            for f, r in zip(finite, rank)]
+    codes = np.where(finite, rank != m.shape[-1], 2)
+    return codes, lambda i: {"rank": int(rank[i])} if finite[i] else _non_finite(what)
 
 
-def _end_to_end(prop: str, c, a, x0, config: TrialConfig) -> list:
+def _end_to_end(prop: str, c, a, x0, config: TrialConfig):
     n = config.n
     sampled = a if prop == "end-to-end-identifiable" else mat_exp(a, CONTINUOUS_STEP)
     y = _iterate(sampled, None, c, x0, 2 * n)
@@ -249,21 +254,21 @@ def _end_to_end(prop: str, c, a, x0, config: TrialConfig) -> list:
     rel = np.full(len(a), np.nan)
     cond[finite] = cond_finite
     rel[finite] = err / np.maximum(1.0, np.abs(truth).max(axis=-1))
-    out = []
-    for f, k, r in zip(finite, cond, rel):
-        if not f:
-            out.append(_non_finite("simulated series"))
-        elif k > SINGULAR_CONDITION_CAP:  # where identify raises SingularHankel
-            out.append((NUMERICAL_REJECTION, {"error": "SingularHankel",
-                                              "message": str(_cap_exceeded("Hankel", k))}))
-        elif k > config.cond_cap:
-            out.append((NUMERICAL_REJECTION, {"condition_estimate": float(k)}))
-        elif not np.isfinite(r):
-            out.append(_non_finite("characteristic polynomial"))
-        else:
-            out.append(((SUCCESS if r <= config.success_tol else FAILURE),
-                        {"relative_coeff_error": float(r), "condition_estimate": float(k)}))
-    return out
+    # cond_cap <= SINGULAR_CONDITION_CAP, so a singular window is above the cap too
+    codes = np.where((cond <= config.cond_cap) & np.isfinite(rel), rel > config.success_tol, 2)
+
+    def diagnostics(i: int) -> dict:
+        if not finite[i]:
+            return _non_finite("simulated series")
+        if cond[i] > SINGULAR_CONDITION_CAP:  # where identify raises SingularHankel
+            return {"error": "SingularHankel", "message": str(_cap_exceeded("Hankel", cond[i]))}
+        if cond[i] > config.cond_cap:
+            return {"condition_estimate": float(cond[i])}
+        if not np.isfinite(rel[i]):
+            return _non_finite("characteristic polynomial")
+        return {"relative_coeff_error": float(rel[i]), "condition_estimate": float(cond[i])}
+
+    return codes, diagnostics
 
 
 def mc_estimate(prop: str, config: TrialConfig) -> ExperimentReport:
@@ -274,21 +279,17 @@ def mc_estimate(prop: str, config: TrialConfig) -> ExperimentReport:
     trials minus numerical rejections; it is None when nothing was decided.
     ``worst_cases`` keeps the first ten failures in trial order.
     """
-    successes = failures = rejections = 0
+    counts = np.zeros(len(OUTCOMES), dtype=int)
     worst = []
     for start in range(0, config.trials, BLOCK):
         c, a, x0 = _draw_block(config, start, min(BLOCK, config.trials - start))
-        for j, (outcome, diag) in enumerate(evaluate_block(prop, c, a, x0, config)):
-            if outcome == SUCCESS:
-                successes += 1
-            elif outcome == FAILURE:
-                failures += 1
-                if len(worst) < 10:
-                    worst.append({"trial_index": start + j, "c": c[j].tolist(),
-                                  "A": a[j].tolist(), "x0": x0[j].tolist(),
-                                  "diagnostics": diag})
-            else:
-                rejections += 1
+        codes, diagnostics = _evaluate(prop, c, a, x0, config)
+        counts += np.bincount(codes, minlength=len(OUTCOMES))
+        for j in np.flatnonzero(codes == 1)[:10 - len(worst)]:
+            worst.append({"trial_index": start + int(j), "c": c[j].tolist(),
+                          "A": a[j].tolist(), "x0": x0[j].tolist(),
+                          "diagnostics": diagnostics(j)})
+    successes, failures, rejections = counts.tolist()
     decided = config.trials - rejections
     estimate = successes / decided if decided > 0 else None
     return ExperimentReport(

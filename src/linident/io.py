@@ -152,10 +152,11 @@ def write_system(sys: SystemSpec, path) -> None:
 
 
 def _read_document(path) -> dict:
-    """A structured document of this format_version, or ParseError."""
+    """A structured document of this format_version, or ParseError. Only
+    the JSON integer counts: true and 1.0 compare equal to 1 in Python."""
     doc = read_report(path)
     version = doc.get("format_version") if isinstance(doc, dict) else None
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ParseError(f"{path} has format_version {version!r}, expected {FORMAT_VERSION}")
     return doc
 

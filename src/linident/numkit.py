@@ -2,7 +2,8 @@
 
 Everything here is deterministic: Faddeev-LeVerrier characteristic
 polynomials, scaling-and-squaring matrix exponentials and Sylvester-matrix
-discriminants; roots come from LAPACK through ``np.roots``. Targets small
+discriminants; roots, ranks and condition numbers come from LAPACK
+(``np.roots``, ``np.linalg.matrix_rank``, ``np.linalg.cond``). Targets small
 dense problems (n up to a few tens); no sparsity, no extended precision.
 
 ``char_poly``, ``mat_exp``, ``discriminant``, ``numerical_rank`` and
@@ -217,8 +218,7 @@ def numerical_rank(m, tol: float = DEFAULT_RANK_TOL):
     """
     _positive(tol, "tol")
     a = as_matrix(m, stacked=True)
-    sv = np.linalg.svd(a, compute_uv=False)
-    rank = np.count_nonzero(sv > tol * sv[..., :1], axis=-1)
+    rank = np.linalg.matrix_rank(a, rtol=tol)
     return int(rank) if a.ndim == 2 else rank
 
 
@@ -228,9 +228,5 @@ def condition_estimate(m):
     A stack of matrices gives an array of estimates.
     """
     a = as_matrix(m, stacked=True)
-    sv = np.linalg.svd(a, compute_uv=False)
-    if a.ndim == 2:
-        return math.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
-    cond = np.full(sv.shape[:-1], math.inf)
-    np.divide(sv[..., 0], sv[..., -1], out=cond, where=sv[..., -1] != 0.0)
-    return cond
+    cond = np.linalg.cond(a)
+    return float(cond) if a.ndim == 2 else cond

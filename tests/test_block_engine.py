@@ -99,6 +99,9 @@ def test_blocks_match_reference(prop, cond_cap, n):
         expected.count(SUCCESS), expected.count(FAILURE), expected.count(NUMERICAL_REJECTION))
     failed = [i for i, e in enumerate(expected) if e == FAILURE][:10]
     assert [case["trial_index"] for case in report.worst_cases] == failed
+    assert [case["diagnostics"] for case in report.worst_cases] == [
+        evaluate_block(prop, *stacked(draws[i - i % BLOCK:][:BLOCK]), config)[i % BLOCK][1]
+        for i in failed]
 
 
 def mixed_block(n):

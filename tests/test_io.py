@@ -107,8 +107,9 @@ class TestFormatVersion:
     MODEL = '"coeffs": [-1.0, -1.0]'
     SYSTEM = '"kind": "discrete", "A": [[0, 1], [1, 1]], "c": [1, 0]'
 
-    @pytest.mark.parametrize("version", ['"format_version": 99, ', '"format_version": "1", ', ""],
-                             ids=["99", "string", "missing"])
+    @pytest.mark.parametrize("version", ['"format_version": 99, ', '"format_version": "1", ', "",
+                                         '"format_version": true, ', '"format_version": 1.0, '],
+                             ids=["99", "string", "missing", "true", "float"])
     @pytest.mark.parametrize("reader, body", [(io.read_model, MODEL), (io.read_system, SYSTEM)],
                              ids=["model", "system"])
     def test_other_versions_are_rejected(self, tmp_path, reader, body, version):
