@@ -39,25 +39,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--len", dest="length", type=int, required=True, help="number of samples")
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="sampling step override (continuous systems)")
+    p.set_defaults(run=_run_simulate)
 
     p = add("identify", help="identify a prediction model")
     p.add_argument("--series", required=True, help="series file")
     p.add_argument("--n", type=int, required=True, help="model order")
     p.add_argument("--k", type=int, default=0, help="window start index")
-    p.add_argument("--affine", action="store_true", help="identify an affine offset too")
-    p.add_argument("--overdetermined", action="store_true",
-                   help="least-squares over all available windows")
+    form = p.add_mutually_exclusive_group()
+    form.add_argument("--affine", action="store_true", help="identify an affine offset too")
+    form.add_argument("--overdetermined", action="store_true",
+                      help="least-squares over all available windows")
+    p.set_defaults(run=_run_identify)
 
     p = add("predict", help="continue a series from a model")
     p.add_argument("--model", required=True, help="model file")
     p.add_argument("--seed-window", required=True, help="last n observed values, comma-separated")
     p.add_argument("--steps", type=int, required=True, help="number of future samples")
+    p.set_defaults(run=_run_predict)
 
     p = add("observability", help="rank report for a system")
     p.add_argument("--system", required=True, help="system spec file")
+    p.set_defaults(run=_run_observability)
 
     p = add("spectrum", help="recover continuous-time eigenvalues")
     p.add_argument("--model", required=True, help="model file (must carry a step)")
+    p.set_defaults(run=_run_spectrum)
 
     p = add("montecarlo", help="measure-1 Monte Carlo estimate")
     p.add_argument("--property", required=True, choices=PROPERTIES, dest="prop")
@@ -68,33 +74,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=TrialConfig.success_tol, help="success tolerance")
     p.add_argument("--cond-cap", type=float, default=TrialConfig.cond_cap,
                    help="condition cutoff for numerical rejection")
+    p.set_defaults(run=_run_montecarlo)
     return parser
 
 
-def _csv_floats(text: str, what: str) -> np.ndarray:
+def _csv_floats(text: str, what: str, count: int) -> np.ndarray:
+    """The ``count`` comma-separated floats of a vector option."""
     try:
-        return np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
+        values = np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
     except ValueError as exc:
         raise ValueError(f"bad {what}: {text!r}") from exc
-
-
-def _emit(doc: str, out_path) -> None:
-    if out_path is None:
-        sys.stdout.write(doc)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(doc)
+    if values.size != count:
+        raise ValueError(f"{what} needs exactly {count} values, got {values.size}")
+    return values
 
 
 def _emit_series(series: TimeSeries, out_path) -> None:
-    _emit(io.format_series(series), out_path)
+    io.write_series(series, out_path)
 
 
 def _run_simulate(args) -> None:
     spec = io.read_system(args.system)
-    x0 = _csv_floats(args.x0, "--x0")
-    if x0.size != spec.order:
-        raise ValueError(f"--x0 needs exactly {spec.order} values, got {x0.size}")
+    x0 = _csv_floats(args.x0, "--x0", spec.order)
     if args.lam is not None:
         spec = SystemSpec(spec.kind, spec.a, spec.c, b=spec.b, step=args.lam)
     simulate = simulate_discrete if spec.kind == "discrete" else sample_continuous
@@ -108,58 +109,35 @@ def _run_identify(args) -> None:
         report = identify_affine(series, args.n, k=args.k)
     else:
         report = identify(series, args.n, k=args.k, overdetermined=args.overdetermined)
-    _emit(io.dumps(io.model_to_dict(report)), args.out)
+    io.write_report(io.model_to_dict(report), args.out)
 
 
 def _run_predict(args) -> None:
     model = io.read_model(args.model)
-    window = _csv_floats(args.seed_window, "--seed-window")
-    if window.size != model.order:
-        raise ValueError(f"--seed-window needs exactly {model.order} values, got {window.size}")
+    window = _csv_floats(args.seed_window, "--seed-window", model.order)
     _emit_series(predict(model, window, args.steps), args.out)
 
 
 def _run_observability(args) -> None:
     spec = io.read_system(args.system)
     flag, rank = is_observable(spec.a, spec.c)
-    doc = {"format_version": io.FORMAT_VERSION, "rank": rank,
-           "order": spec.order, "observable": flag}
-    _emit(io.dumps(doc), args.out)
+    io.write_report(io.document(rank=rank, order=spec.order, observable=flag), args.out)
 
 
 def _run_spectrum(args) -> None:
     model = io.read_model(args.model)
     spectrum = recover_continuous_spectrum(model)
-    doc = {
-        "format_version": io.FORMAT_VERSION,
-        "eigenvalues": [[z.real, z.imag] for z in spectrum.values],
-        "aliasing_risk": spectrum.aliasing_risk,
-        "step": model.step,
-    }
-    _emit(io.dumps(doc), args.out)
+    io.write_report(io.document(eigenvalues=[[z.real, z.imag] for z in spectrum.values],
+                                aliasing_risk=spectrum.aliasing_risk, step=model.step), args.out)
 
 
 def _run_montecarlo(args) -> None:
-    box_vals = _csv_floats(args.box, "--box")
-    if box_vals.size != 2:
-        raise ValueError(f"--box needs exactly two values, got {args.box!r}")
+    lo, hi = _csv_floats(args.box, "--box", 2)
     config = TrialConfig(n=args.n, trials=args.trials, seed=args.seed,
-                         box=SamplingBox(float(box_vals[0]), float(box_vals[1])),
+                         box=SamplingBox(float(lo), float(hi)),
                          success_tol=args.tol, cond_cap=args.cond_cap)
     report = mc_estimate(args.prop, config)
-    doc = report.to_dict()
-    doc["format_version"] = io.FORMAT_VERSION
-    _emit(io.dumps(doc), args.out)
-
-
-_DISPATCH = {
-    "simulate": _run_simulate,
-    "identify": _run_identify,
-    "predict": _run_predict,
-    "observability": _run_observability,
-    "spectrum": _run_spectrum,
-    "montecarlo": _run_montecarlo,
-}
+    io.write_report(io.document(**report.to_dict()), args.out)
 
 
 def main(argv=None) -> int:
@@ -170,7 +148,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     try:
-        _DISPATCH[args.command](args)
+        args.run(args)
     except (ValueError, ParseError, EmptySeries) as exc:
         # every ValueError a command raises is an option or value out of range
         name = type(exc).__name__ if isinstance(exc, LinIdentError) else "UsageError"

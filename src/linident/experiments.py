@@ -27,7 +27,7 @@ and must not be falsified by rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -134,22 +134,9 @@ class ExperimentReport:
         return self.trials - self.numerical_rejections
 
     def to_dict(self) -> dict:
-        return {
-            "property": self.property,
-            "n": self.n,
-            "trials": self.trials,
-            "successes": self.successes,
-            "failures": self.failures,
-            "numerical_rejections": self.numerical_rejections,
-            "decided": self.decided,
-            "estimate": self.estimate,
-            "seed": self.seed,
-            "box": [self.box.lo, self.box.hi],
-            "success_tol": self.success_tol,
-            "cond_cap": self.cond_cap,
-            "sampling_law": "uniform-on-box",
-            "worst_cases": list(self.worst_cases),
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {
+            "decided": self.decided, "box": [self.box.lo, self.box.hi],
+            "sampling_law": "uniform-on-box", "worst_cases": list(self.worst_cases)}
 
 
 def draw_sample(config: TrialConfig, trial_index: int):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from array import array
 
 import numpy as np
@@ -25,6 +26,7 @@ FORMAT_VERSION = 1
 
 __all__ = [
     "FORMAT_VERSION",
+    "document",
     "dumps",
     "format_series",
     "model_to_dict",
@@ -90,8 +92,16 @@ def format_series(series: TimeSeries) -> str:
 
 
 def write_series(series: TimeSeries, path) -> None:
+    _write(format_series(series), path)
+
+
+def _write(text: str, path) -> None:
+    """The one file writer; a ``path`` of None means standard output."""
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_series(series))
+        fh.write(text)
 
 
 def _fmt(x: float) -> str:
@@ -123,8 +133,12 @@ def _dump(obj) -> str:
 
 def write_report(report: dict, path) -> None:
     """Write any dict-shaped document deterministically."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(report))
+    _write(dumps(report), path)
+
+
+def document(**fields) -> dict:
+    """``fields`` stamped with this format_version: every document's header."""
+    return {"format_version": FORMAT_VERSION, **fields}
 
 
 def read_report(path) -> dict:
@@ -137,18 +151,10 @@ def read_report(path) -> dict:
             raise ParseError(f"document {path} is not UTF-8 text: {exc.reason}") from exc
 
 
-def write_system(sys: SystemSpec, path) -> None:
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "kind": sys.kind,
-        "A": sys.a,
-        "c": sys.c,
-    }
-    if sys.b is not None:
-        doc["b"] = sys.b
-    if sys.step is not None:
-        doc["step"] = sys.step
-    write_report(doc, path)
+def write_system(spec: SystemSpec, path) -> None:
+    optional = {"b": spec.b, "step": spec.step}
+    write_report(document(kind=spec.kind, A=spec.a, c=spec.c,
+                          **{k: v for k, v in optional.items() if v is not None}), path)
 
 
 def _read_document(path) -> dict:
@@ -168,43 +174,49 @@ def _from_document(what: str, build):
         return build()
     except KeyError as exc:
         raise ParseError(f"{what} is missing field {exc}") from exc
-    except (TypeError, ValueError, DimensionMismatch) as exc:
+    except (TypeError, ValueError, OverflowError, DimensionMismatch) as exc:
         raise ParseError(f"{what}: {exc}") from exc
+
+
+def _number(doc: dict, key: str, nested: bool = False):
+    """Field ``key`` as a float, or with ``nested`` as a float array of
+    (nested) lists. Only JSON numbers count: float() would also take true,
+    false and numeric strings."""
+    todo = [doc[key]]
+    while todo:
+        v = todo.pop()
+        if nested and type(v) is list:
+            todo.extend(v)
+        elif type(v) not in (int, float):
+            raise TypeError(f"{key} holds a {type(v).__name__} where a float (a JSON number) belongs")
+    return np.array(doc[key], dtype=float) if nested else float(doc[key])
 
 
 def read_system(path) -> SystemSpec:
     doc = _read_document(path)
     return _from_document(f"system file {path}", lambda: SystemSpec(
         kind=doc["kind"],
-        a=np.array(doc["A"], dtype=float),
-        c=np.array(doc["c"], dtype=float),
-        b=np.array(doc["b"], dtype=float) if "b" in doc else None,
-        step=float(doc["step"]) if "step" in doc else None,
+        a=_number(doc, "A", nested=True),
+        c=_number(doc, "c", nested=True),
+        b=_number(doc, "b", nested=True) if "b" in doc else None,
+        step=_number(doc, "step") if "step" in doc else None,
     ))
 
 
 def model_to_dict(report: IdentReport) -> dict:
     model = report.model
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "order": model.order,
-        "coeffs": model.coeffs,
-        "residual": report.residual,
-        "condition_estimate": report.condition_estimate,
-        "window_start": report.window_start,
-    }
-    if model.offset is not None:
-        doc["offset"] = model.offset
-    if model.step is not None:
-        doc["step"] = model.step
-    return doc
+    optional = {"offset": model.offset, "step": model.step}
+    return document(order=model.order, coeffs=model.coeffs, residual=report.residual,
+                    condition_estimate=report.condition_estimate,
+                    window_start=report.window_start,
+                    **{k: v for k, v in optional.items() if v is not None})
 
 
 def model_from_dict(doc: dict) -> PredictionModel:
     return _from_document("model document", lambda: PredictionModel(
-        coeffs=np.array(doc["coeffs"], dtype=float),
-        offset=float(doc["offset"]) if "offset" in doc else None,
-        step=float(doc["step"]) if "step" in doc else None,
+        coeffs=_number(doc, "coeffs", nested=True),
+        offset=_number(doc, "offset") if "offset" in doc else None,
+        step=_number(doc, "step") if "step" in doc else None,
     ))
 
 

@@ -65,6 +65,14 @@ class TestIdentifyCommand:
         assert out == ""
         assert err.splitlines()[0] == f"UsageError: {message}"
 
+    def test_affine_and_overdetermined_exclude_each_other(self, capsys, fib_series):
+        code, out, err = run(capsys, "identify", "--series", str(fib_series), "--n", "2",
+                             "--affine", "--overdetermined")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: linident identify")
+        assert "argument --overdetermined: not allowed with argument --affine" in err
+
     def test_zero_step_header_exits_two(self, capsys, tmp_path):
         p = tmp_path / "s.txt"
         p.write_text("# sampled series\n# step=0\n1\n2\n3\n")
@@ -247,6 +255,28 @@ class TestSimulateCommand:
         assert out == ""
         assert err.splitlines()[0] == f"UsageError: {message}"
 
+
+    def test_missing_step_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "system.json"
+        io.write_system(SystemSpec("continuous", [[0, 1], [-1, 0]], [1, 0]), path)
+        code, out, err = run(capsys, "simulate", "--system", str(path), "--x0", "1,0",
+                             "--len", "3")
+        assert (code, out) == (1, "")
+        assert err == "MissingStep: continuous system has no sampling step\n"
+
+    @pytest.mark.parametrize("command, flag, body", [
+        ("simulate", "--system",
+         '"kind": "continuous", "A": [[0, 1], [-1, 0]], "c": [true, false], "step": "0.5"'),
+        ("spectrum", "--model", '"coeffs": [true, true], "offset": false, "step": true'),
+    ], ids=["system", "model"])
+    def test_non_number_field_exits_two(self, capsys, tmp_path, command, flag, body):
+        path = tmp_path / "doc.json"
+        path.write_text('{"format_version": 1, ' + body + "}\n")
+        extra = ["--x0", "1,0", "--len", "3"] if command == "simulate" else []
+        code, out, err = run(capsys, command, flag, str(path), *extra)
+        assert (code, out) == (2, "")
+        assert err.startswith("ParseError: ")
+        assert "holds a bool where a float (a JSON number) belongs" in err
 
     def test_divergence_exits_one_without_warnings(self, capsys, fib_system):
         with warnings.catch_warnings():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from linident import (
+    MissingStep,
     NonFinite,
     NotObservable,
     SystemSpec,
@@ -55,6 +56,11 @@ class TestSimulateDiscrete:
     def test_no_step_recorded(self):
         sys = SystemSpec("discrete", FIB, [1, 0])
         assert simulate_discrete(sys, [1, 1], 4).step is None
+
+    def test_continuous_system_is_rejected(self):
+        sys = SystemSpec("continuous", ROT, [1, 0], step=0.1)
+        with pytest.raises(ValueError, match="discrete simulation needs a discrete system"):
+            simulate_discrete(sys, [1, 0], 4)
 
     def test_divergence_is_non_finite_without_warnings(self):
         sys = SystemSpec("discrete", FIB, [1, 0])
@@ -127,6 +133,11 @@ class TestSampleContinuous:
             warnings.simplefilter("error")
             with pytest.raises(NonFinite, match="sample 2 of 3 is not finite"):
                 sample_continuous(sys, [1.0], 3)
+
+    def test_missing_step(self):
+        sys = SystemSpec("continuous", ROT, [1, 0])
+        with pytest.raises(MissingStep, match="continuous system has no sampling step"):
+            sample_continuous(sys, [1, 0], 4)
 
     def test_scalar_decay(self):
         sys = SystemSpec("continuous", [[-1.0]], [1.0], step=0.5)

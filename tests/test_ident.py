@@ -233,6 +233,10 @@ class TestEstimateOrder:
         with pytest.raises(InsufficientData):
             estimate_order(fib_series(6), 3)
 
+    def test_n_max_below_one(self):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            estimate_order(fib_series(9), 0)
+
     @pytest.mark.parametrize("order, n_max", [(2, 2), (2, 5), (4, 6)])
     def test_ranks_each_leading_hankel_once(self, monkeypatch, order, n_max):
         ranked = []

@@ -141,8 +141,19 @@ class TestInvalidValues:
         (io.read_model, '"coeffs": [1.0], "offset": NaN', "offset must be finite"),
         (io.read_model, '"coeffs": []', "coefficients must be non-empty"),
         (io.read_model, '"coeffs": [[1, 2]]', "coefficients must be 1-D"),
+        (io.read_system, '"kind": "discrete", "A": [[0, 1], [1, 1]], "c": [true, false]',
+         "c holds a bool where a float"),
+        (io.read_system, '"kind": "continuous", "A": [[0, 1], [1, 1]], "c": [1, 0], "step": "0.5"',
+         "step holds a str where a float"),
+        (io.read_system, '"kind": "discrete", "A": [[0, 1], [1, null]], "c": [1, 0]',
+         "A holds a NoneType where a float"),
+        (io.read_model, '"coeffs": [true, true]', "coeffs holds a bool where a float"),
+        (io.read_model, '"coeffs": [1.0], "offset": false', "offset holds a bool where a float"),
+        (io.read_model, '"coeffs": [1.0], "step": true', "step holds a bool where a float"),
+        (io.read_model, '"coeffs": [1' + "0" * 400 + "]", "int too large to convert to float"),
     ], ids=["kind", "inf-entry", "shape", "object-matrix", "inf-coeff", "step", "list-offset",
-            "inf-step", "inf-offset", "nan-offset", "empty-coeffs", "matrix-coeffs"])
+            "inf-step", "inf-offset", "nan-offset", "empty-coeffs", "matrix-coeffs", "bool-c",
+            "string-step", "null-entry", "bool-coeffs", "bool-offset", "bool-step", "huge-int"])
     def test_failed_validation_is_a_parse_error(self, tmp_path, reader, body, message):
         p = tmp_path / "doc.json"
         p.write_text('{"format_version": 1, ' + body + "}\n")

@@ -246,7 +246,8 @@ class TestStackedKernels:
     (lambda: as_matrix(np.zeros((0, 3))), DimensionMismatch, r"empty matrix of shape \(0, 3\)"),
     (lambda: mat_exp(np.eye(2), math.nan), ValueError, "t must be finite"),
     (lambda: mat_exp(np.eye(2), math.inf), ValueError, "t must be finite"),
-], ids=["matrix-1d", "matrix-empty", "mat-exp-t-nan", "mat-exp-t-inf"])
+    (lambda: discriminant(MonicPolynomial([2.0])), ValueError, "requires degree >= 2"),
+], ids=["matrix-1d", "matrix-empty", "mat-exp-t-nan", "mat-exp-t-inf", "discriminant-degree-1"])
 def test_invalid_input_raises(call, error, message):
     with pytest.raises(error, match=message):
         call()
