@@ -9,6 +9,7 @@ arithmetic of its own; it only parses, dispatches and serializes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import io
 from .errors import EmptySeries, LinIdentError, ParseError
-from .dynsys import SystemSpec, TimeSeries, is_observable, sample_continuous, simulate_discrete
+from .dynsys import TimeSeries, is_observable, sample_continuous, simulate_discrete
 from .ident import identify, identify_affine, predict, recover_continuous_spectrum
 from .experiments import PROPERTIES, SamplingBox, TrialConfig, mc_estimate
 
@@ -97,7 +98,7 @@ def _run_simulate(args) -> None:
     spec = io.read_system(args.system)
     x0 = _csv_floats(args.x0, "--x0", spec.order)
     if args.lam is not None:
-        spec = SystemSpec(spec.kind, spec.a, spec.c, b=spec.b, step=args.lam)
+        spec = dataclasses.replace(spec, step=args.lam)
     simulate = simulate_discrete if spec.kind == "discrete" else sample_continuous
     series = simulate(spec, x0, args.length)
     _emit_series(series, args.out)
@@ -109,7 +110,7 @@ def _run_identify(args) -> None:
         report = identify_affine(series, args.n, k=args.k)
     else:
         report = identify(series, args.n, k=args.k, overdetermined=args.overdetermined)
-    io.write_report(io.model_to_dict(report), args.out)
+    io.write_model(report, args.out)
 
 
 def _run_predict(args) -> None:

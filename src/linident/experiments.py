@@ -92,7 +92,7 @@ class TrialConfig:
     seed: int = 0
     box: SamplingBox = field(default_factory=SamplingBox)
     success_tol: float = 1e-6
-    cond_cap: float = 1e10
+    cond_cap: float = SINGULAR_CONDITION_CAP
 
     def __post_init__(self):
         if self.n < 1:
@@ -110,10 +110,7 @@ class TrialConfig:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Aggregated outcome counts for one property.
-
-    ``estimate`` is None when no trial was decided.
-    """
+    """Aggregated outcome counts for one property."""
 
     property: str
     n: int
@@ -121,7 +118,6 @@ class ExperimentReport:
     successes: int
     failures: int
     numerical_rejections: int
-    estimate: float | None
     seed: int
     box: SamplingBox
     success_tol: float
@@ -133,9 +129,14 @@ class ExperimentReport:
         """Trials not numerically rejected: the estimate's denominator."""
         return self.trials - self.numerical_rejections
 
+    @property
+    def estimate(self) -> float | None:
+        """Successes over decided trials; None when no trial was decided."""
+        return self.successes / self.decided if self.decided else None
+
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)} | {
-            "decided": self.decided, "box": [self.box.lo, self.box.hi],
+            "decided": self.decided, "estimate": self.estimate, "box": [self.box.lo, self.box.hi],
             "sampling_law": "uniform-on-box", "worst_cases": list(self.worst_cases)}
 
 
@@ -262,8 +263,6 @@ def mc_estimate(prop: str, config: TrialConfig) -> ExperimentReport:
     """Evaluate the trials in index-ordered blocks of BLOCK stacked draws
     and aggregate the outcome counts.
 
-    ``estimate`` is successes over mathematically decided trials, i.e.
-    trials minus numerical rejections; it is None when nothing was decided.
     ``worst_cases`` keeps the first ten failures in trial order.
     """
     counts = np.zeros(len(OUTCOMES), dtype=int)
@@ -277,10 +276,6 @@ def mc_estimate(prop: str, config: TrialConfig) -> ExperimentReport:
                           "A": a[j].tolist(), "x0": x0[j].tolist(),
                           "diagnostics": diagnostics(j)})
     successes, failures, rejections = counts.tolist()
-    decided = config.trials - rejections
-    estimate = successes / decided if decided > 0 else None
-    return ExperimentReport(
-        property=prop, n=config.n, trials=config.trials, successes=successes,
-        failures=failures, numerical_rejections=rejections, estimate=estimate,
-        seed=config.seed, box=config.box, success_tol=config.success_tol,
-        cond_cap=config.cond_cap, worst_cases=tuple(worst))
+    return ExperimentReport(property=prop, successes=successes, failures=failures,
+                            numerical_rejections=rejections, worst_cases=tuple(worst),
+                            **vars(config))

@@ -200,6 +200,7 @@ def _identify(series: TimeSeries, n: int, k: int, affine: bool = False,
     if cond > SINGULAR_CONDITION_CAP:
         what = "window" if overdetermined else "augmented window" if affine else "Hankel"
         raise _cap_exceeded(what, cond)
+    _require_finite(sol, "identification", "solution entry")
     coeffs = -sol[:n]
     offset = float(sol[n]) if affine else None
     model = PredictionModel(coeffs=coeffs, offset=offset, step=series.step)
@@ -216,7 +217,8 @@ def _window_residual(y, k, n, coeffs, offset) -> float:
     product (``h @ coeffs``) is not. ``fmax`` skips a NaN defect.
     """
     off = 0.0 if offset is None else offset
-    defect = y[k + n:] + np.vecdot(_hankel(y, k, n, len(y) - n - k), coeffs) - off
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as inf
+        defect = y[k + n:] + np.vecdot(_hankel(y, k, n, len(y) - n - k), coeffs) - off
     return float(np.fmax.reduce(np.abs(defect), initial=0.0))
 
 
@@ -311,4 +313,5 @@ def recover_continuous_spectrum(model: PredictionModel) -> ContinuousSpectrum:
     aliasing = bool(np.any(np.abs(np.angle(roots)) >= math.pi - ALIASING_MARGIN))
     values = np.array([(math.log(abs(mu)) + 1j * cmath.phase(mu)) / model.step
                        for mu in roots])
+    _require_finite(values, "continuous spectrum", "eigenvalue")
     return ContinuousSpectrum(values=sort_complex_lex(values), aliasing_risk=aliasing)

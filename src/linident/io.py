@@ -17,7 +17,7 @@ from array import array
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySeries, ParseError
+from .errors import DimensionMismatch, EmptySeries, NonFinite, ParseError
 from .dynsys import SystemSpec, TimeSeries
 from .ident import IdentReport, PredictionModel
 from .numkit import _positive
@@ -71,12 +71,10 @@ def read_series(path) -> TimeSeries:
                 if body.startswith("step="):
                     try:
                         step = float(body[len("step="):])
-                    except ValueError as exc:
-                        raise ParseError(f"bad step value at line {lineno}", line=lineno) from exc
-                    try:
                         _positive(step, "step")
                     except ValueError as exc:
-                        raise ParseError(f"{exc} at line {lineno}", line=lineno) from exc
+                        raise ParseError(f"bad step value at line {lineno}: {exc}",
+                                         line=lineno) from exc
     except UnicodeDecodeError as exc:  # raised by the line iterator, a chunk at a time
         raise ParseError(f"series file {path} is not UTF-8 text: {exc.reason}") from exc
     if not values:
@@ -87,7 +85,7 @@ def read_series(path) -> TimeSeries:
 def format_series(series: TimeSeries) -> str:
     """Series file text: the step header when known, then one sample per
     line at 17 significant digits."""
-    head = "" if series.step is None else f"# step={_fmt(series.step)}\n"
+    head = "" if series.step is None else f"# step={_fmt(series.step, 'step')}\n"
     return head + ("%.17g\n" * len(series)) % tuple(series.values.tolist())
 
 
@@ -104,31 +102,29 @@ def _write(text: str, path) -> None:
         fh.write(text)
 
 
-def _fmt(x: float) -> str:
+def _fmt(x: float, key: str) -> str:
+    """The one float writer of documents; JSON has no inf or nan."""
+    if not math.isfinite(x):
+        raise NonFinite(f"document field {key} is not finite: {float(x)}")
     return format(float(x), ".17g")
 
 
 def dumps(obj) -> str:
-    """Deterministic JSON: sorted keys, 17-significant-digit floats."""
+    """Deterministic JSON: sorted keys, 17-digit floats; built whole before any write."""
     return _dump(obj) + "\n"
 
 
-def _dump(obj) -> str:
+def _dump(obj, key="value") -> str:
+    """Floats go through ``_fmt``; any other leaf, numpy scalars unwrapped, to json.dumps."""
     if isinstance(obj, dict):
         items = sorted(obj.items())
-        body = ", ".join(json.dumps(str(k)) + ": " + _dump(v) for k, v in items)
+        body = ", ".join(json.dumps(str(k)) + ": " + _dump(v, k) for k, v in items)
         return "{" + body + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(_dump(v) for v in obj) + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
+        return "[" + ", ".join(_dump(v, key) for v in obj) + "]"
     if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        return _fmt(obj, key)
+    return json.dumps(obj.item() if isinstance(obj, np.generic) else obj)
 
 
 def write_report(report: dict, path) -> None:

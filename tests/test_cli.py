@@ -73,6 +73,23 @@ class TestIdentifyCommand:
         assert err.startswith("usage: linident identify")
         assert "argument --overdetermined: not allowed with argument --affine" in err
 
+    @pytest.mark.parametrize("values, flags, message", [
+        ("1e-300\n1e300\n1e300\n", [], "identification diverges: solution entry 1 of 1 is not finite"),
+        ("1\n2\n1e308\n1e308\n", ["--affine"],
+         "identification diverges: solution entry 1 of 2 is not finite"),
+        ("1\n1e308\n-1e308\n", [], "document field residual is not finite: inf"),
+    ], ids=["solve", "affine-solve", "residual"])
+    def test_overflow_exits_one_and_writes_nothing(self, capsys, tmp_path, values, flags, message):
+        p = tmp_path / "s.txt"
+        p.write_text(values)
+        model = tmp_path / "model.json"
+        for out in ([], ["--out", str(model)]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                result = run(capsys, "identify", "--series", str(p), "--n", "1", *flags, *out)
+            assert result == (1, "", f"NonFinite: {message}\n")
+        assert not model.exists()
+
     def test_zero_step_header_exits_two(self, capsys, tmp_path):
         p = tmp_path / "s.txt"
         p.write_text("# sampled series\n# step=0\n1\n2\n3\n")
@@ -197,6 +214,18 @@ class TestSpectrumCommand:
         code, _, err = run(capsys, "spectrum", "--model", str(model))
         assert code == 1
         assert "MissingStep" in err
+
+    def test_overflowing_eigenvalue_exits_one(self, capsys, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text('{"format_version": 1, "coeffs": [-2], "step": 1e-310}\n')
+        spectrum = tmp_path / "spectrum.json"
+        for out in ([], ["--out", str(spectrum)]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                result = run(capsys, "spectrum", "--model", str(model), *out)
+            assert result == (1, "", "NonFinite: continuous spectrum diverges: "
+                                     "eigenvalue 1 of 1 is not finite\n")
+        assert not spectrum.exists()
 
     def test_overflowing_coefficient_exits_two(self, capsys, tmp_path):
         model = tmp_path / "model.json"

@@ -150,7 +150,7 @@ class TestMcEstimate:
         cfg = config(n=2, trials=1, seed=0)
         report = ExperimentReport(
             property="observable", n=2, trials=1, successes=0, failures=1,
-            numerical_rejections=0, estimate=0.0, seed=0, box=cfg.box,
+            numerical_rejections=0, seed=0, box=cfg.box,
             success_tol=cfg.success_tol, cond_cap=cfg.cond_cap)
         assert report.estimate == 0.0
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from linident import (
     MissingStep,
     MonicPolynomial,
     NoOrderFound,
+    NonFinite,
     PredictionModel,
     SingularHankel,
     SystemSpec,
@@ -111,6 +113,22 @@ class TestIdentify:
         sys = SystemSpec("continuous", ROT, [1, 0], step=0.3)
         series = sample_continuous(sys, [1, 0], 4)
         assert identify(series, 2).model.step == 0.3
+
+    @pytest.mark.parametrize("form, values, message", [
+        (identify, [1e-300, 1e300, 1e300], "solution entry 1 of 1 is not finite"),
+        (identify_affine, [1, 2, 1e308, 1e308], "solution entry 1 of 2 is not finite"),
+    ], ids=["exact", "affine"])
+    def test_overflowing_solve_is_non_finite(self, form, values, message):
+        # the solve overflows: a domain error, not a rejected input
+        with pytest.raises(NonFinite, match=message):
+            form(TimeSeries(values), 1)
+
+    def test_overflowing_residual_is_inf_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = identify(TimeSeries([1, 1e308, -1e308]), 1)
+        assert report.model.coeffs.tolist() == [-1e308]
+        assert report.residual == math.inf
 
 
 class TestIdentifyAffine:
@@ -316,6 +334,13 @@ class TestRecoverContinuousSpectrum:
     def test_zero_root(self):
         with pytest.raises(ZeroRoot):
             recover_continuous_spectrum(PredictionModel([0.0, -1.0], step=0.1))
+
+    def test_overflowing_eigenvalue_is_non_finite(self):
+        # log(2) / 1e-310 overflows to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match="eigenvalue 1 of 1 is not finite"):
+                recover_continuous_spectrum(PredictionModel([-2.0], step=1e-310))
 
     def test_aliasing_flagged_at_pi(self):
         # sampled root exactly on the negative real axis: Arg = pi

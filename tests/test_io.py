@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from linident import EmptySeries, ParseError, TimeSeries, identify
+from linident import EmptySeries, NonFinite, ParseError, TimeSeries, identify
 from linident import io
 
 
@@ -33,13 +35,24 @@ class TestReadSeries:
         with pytest.raises(EmptySeries):
             io.read_series(p)
 
-    @pytest.mark.parametrize("header", ["step=0", "step=-0.5", "step=inf", "step=nan"])
+    @pytest.mark.parametrize("header", ["step=0", "step=-0.5", "step=inf", "step=nan", "step=abc"])
     def test_bad_step_names_its_line(self, tmp_path, header):
         p = tmp_path / "s.txt"
         p.write_text(f"1\n# {header}\n2\n")
         with pytest.raises(ParseError) as exc:
             io.read_series(p)
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize("header, reason", [
+        ("step=abc", "could not convert string to float: 'abc'"),
+        ("step=0", "step must be positive and finite"),
+    ])
+    def test_bad_step_message(self, tmp_path, header, reason):
+        p = tmp_path / "s.txt"
+        p.write_text(f"1\n# {header}\n2\n")
+        with pytest.raises(ParseError) as exc:
+            io.read_series(p)
+        assert str(exc.value) == f"bad step value at line 2: {reason}"
 
     def test_non_utf8_file(self, tmp_path):
         p = tmp_path / "s.txt"
@@ -71,6 +84,24 @@ class TestReports:
         back = io.read_report(p)
         assert back["x"] == doc["x"]
         assert back["ints"] == doc["ints"]
+
+    def test_every_value_type(self):
+        doc = {"b": True, "f": np.float64(0.1), "i": 3, "j": np.int64(3), "n": None,
+               "s": "x", "t": (1, 2.5)}
+        assert io.dumps(doc) == ('{"b": true, "f": 0.10000000000000001, "i": 3, "j": 3, '
+                                 '"n": null, "s": "x", "t": [1, 2.5]}\n')
+
+    @pytest.mark.parametrize("value", [math.inf, np.float64("nan"), [1.0, -math.inf],
+                                       {"x": np.array([math.nan])}])
+    def test_non_finite_float_writes_nothing(self, tmp_path, value):
+        p = tmp_path / "r.json"
+        with pytest.raises(NonFinite, match="document field x is not finite"):
+            io.write_report({"x": value}, p)
+        assert not p.exists()
+
+    def test_unsupported_type(self):
+        with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+            io.dumps({"x": {1}})
 
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(OSError):
@@ -151,9 +182,13 @@ class TestInvalidValues:
         (io.read_model, '"coeffs": [1.0], "offset": false', "offset holds a bool where a float"),
         (io.read_model, '"coeffs": [1.0], "step": true', "step holds a bool where a float"),
         (io.read_model, '"coeffs": [1' + "0" * 400 + "]", "int too large to convert to float"),
+        (io.read_model, '"coeffs": [1.0', "bad document .*: Expecting"),
+        (io.read_system, '"kind": "discrete", "A": [[1]]', "is missing field 'c'"),
+        (io.read_model, '"step": 0.5', "is missing field 'coeffs'"),
     ], ids=["kind", "inf-entry", "shape", "object-matrix", "inf-coeff", "step", "list-offset",
             "inf-step", "inf-offset", "nan-offset", "empty-coeffs", "matrix-coeffs", "bool-c",
-            "string-step", "null-entry", "bool-coeffs", "bool-offset", "bool-step", "huge-int"])
+            "string-step", "null-entry", "bool-coeffs", "bool-offset", "bool-step", "huge-int",
+            "truncated", "no-c", "no-coeffs"])
     def test_failed_validation_is_a_parse_error(self, tmp_path, reader, body, message):
         p = tmp_path / "doc.json"
         p.write_text('{"format_version": 1, ' + body + "}\n")
