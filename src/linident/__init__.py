@@ -25,7 +25,6 @@ from .numkit import (
     DEFAULT_RANK_TOL,
     MonicPolynomial,
     char_poly,
-    companion_matrix,
     condition_estimate,
     discriminant,
     mat_exp,
@@ -62,7 +61,6 @@ from .experiments import (
     SamplingBox,
     TrialConfig,
     draw_sample,
-    evaluate_block,
     evaluate_property,
     mc_estimate,
 )

@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import MissingStep, NonFinite, NotObservable
 from .numkit import (
+    MonicPolynomial,
     _as_square,
     _as_vector,
     _positive,
@@ -158,10 +159,18 @@ def krylov_matrix(a, x0) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(states, -1, -2))
 
 
+def _observability(a, c) -> tuple[np.ndarray, int]:
+    """The observability matrix Q, checked for overflow, and its rank."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = observability_matrix(a, c)
+    _require_finite(q, "observability matrix", "entry")
+    return q, numerical_rank(q)
+
+
 def is_observable(a, c) -> tuple[bool, int]:
-    """(full-rank flag, numerical rank) of the observability matrix."""
-    q = observability_matrix(a, c)
-    rank = numerical_rank(q)
+    """(full-rank flag, numerical rank) of the observability matrix;
+    NonFinite when the matrix overflows."""
+    q, rank = _observability(a, c)
     return rank == q.shape[-1], rank
 
 
@@ -174,8 +183,8 @@ def output_row_G(a, c) -> np.ndarray:
     """
     a = _as_square(a)
     n = a.shape[0]
-    q = observability_matrix(a, c)
-    if numerical_rank(q) < n:
+    q, rank = _observability(a, c)
+    if rank < n:
         raise NotObservable("observability matrix is numerically singular")
     return np.linalg.solve(q.T, q[n - 1] @ a)  # c A^{n-1} is the last row of Q
 
@@ -204,6 +213,12 @@ def _sampled_matrix(sys: SystemSpec) -> np.ndarray:
     return mat_exp(sys.a, sys.step)
 
 
-def char_poly_of_sampled(sys: SystemSpec):
-    """char_poly of A (discrete) or of exp(step*A) (continuous)."""
-    return char_poly(_sampled_matrix(sys))
+def char_poly_of_sampled(sys: SystemSpec) -> MonicPolynomial:
+    """char_poly of A (discrete) or of exp(step*A) (continuous); NonFinite
+    when the sampled matrix or the polynomial overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = _sampled_matrix(sys)
+        _require_finite(m, "sampled matrix", "entry")
+        coeffs = char_poly(m[None])[0]  # the stacked form returns unchecked coefficients
+    _require_finite(coeffs, "characteristic polynomial", "coefficient")
+    return MonicPolynomial(coeffs)

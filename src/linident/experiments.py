@@ -62,7 +62,6 @@ __all__ = [
     "SamplingBox",
     "TrialConfig",
     "draw_sample",
-    "evaluate_block",
     "evaluate_property",
     "mc_estimate",
 ]
@@ -168,26 +167,21 @@ def _draw_block(config: TrialConfig, start: int, count: int):
 
 def evaluate_property(prop: str, c, a, x0, config: TrialConfig):
     """(outcome, diagnostics) for one draw; never raises on pipeline errors."""
-    return evaluate_block(prop, np.asarray(c, dtype=float)[None],
-                          np.asarray(a, dtype=float)[None],
-                          np.asarray(x0, dtype=float)[None], config)[0]
+    codes, diagnostics = _evaluate(prop, *(np.asarray(v, dtype=float)[None] for v in (c, a, x0)),
+                                   config)
+    return OUTCOMES[codes[0]], diagnostics(0)
 
 
-def evaluate_block(prop: str, c, a, x0, config: TrialConfig) -> list:
-    """(outcome, diagnostics) for each of T stacked draws: c and x0 of shape
-    (T, n), a of shape (T, n, n), with n = config.n.
+def _evaluate(prop: str, c, a, x0, config: TrialConfig):
+    """Outcome codes (indices into OUTCOMES) of T stacked draws, and trial
+    i's diagnostics builder: c and x0 of shape (T, n), a of shape (T, n, n),
+    with n = config.n.
 
     Each step runs once on the whole stack. A trial whose intermediate
     results overflow is a numerical rejection with error "NonFinite"; a
     trial whose Hankel window exceeds the condition cap is rejected before
     the solve. So no trial can make the block raise.
     """
-    codes, diagnostics = _evaluate(prop, c, a, x0, config)
-    return [(OUTCOMES[k], diagnostics(i)) for i, k in enumerate(codes)]
-
-
-def _evaluate(prop: str, c, a, x0, config: TrialConfig):
-    """Outcome codes (indices into OUTCOMES) and trial i's diagnostics builder."""
     if prop not in PROPERTIES:
         raise ValueError(f"unknown property {prop!r}")
     c, a, x0 = (np.asarray(v, dtype=float) for v in (c, a, x0))

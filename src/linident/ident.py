@@ -28,7 +28,6 @@ from .numkit import (
     MonicPolynomial,
     _as_vector,
     _positive,
-    companion_matrix,
     condition_estimate,
     numerical_rank,
     poly_roots,
@@ -80,8 +79,10 @@ class PredictionModel:
 
     @property
     def companion(self) -> np.ndarray:
-        """Companion matrix whose last row is (-a_0, ..., -a_{n-1})."""
-        return companion_matrix(self.polynomial)
+        """Companion matrix: superdiagonal ones, last row (-a_0, ..., -a_{n-1})."""
+        a = np.eye(self.order, k=1)
+        a[-1] = -self.coeffs
+        return a
 
 
 @dataclass(frozen=True)

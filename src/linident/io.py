@@ -28,9 +28,7 @@ __all__ = [
     "FORMAT_VERSION",
     "document",
     "dumps",
-    "format_series",
     "model_to_dict",
-    "model_from_dict",
     "read_model",
     "read_report",
     "read_series",
@@ -82,15 +80,11 @@ def read_series(path) -> TimeSeries:
     return TimeSeries(np.frombuffer(values), step=step)
 
 
-def format_series(series: TimeSeries) -> str:
-    """Series file text: the step header when known, then one sample per
-    line at 17 significant digits."""
-    head = "" if series.step is None else f"# step={_fmt(series.step, 'step')}\n"
-    return head + ("%.17g\n" * len(series)) % tuple(series.values.tolist())
-
-
 def write_series(series: TimeSeries, path) -> None:
-    _write(format_series(series), path)
+    """Series file text to ``path`` (None: standard output): the step header
+    when known, then one sample per line at 17 significant digits."""
+    head = "" if series.step is None else f"# step={_fmt(series.step, 'step')}\n"
+    _write(head + ("%.17g\n" * len(series)) % tuple(series.values.tolist()), path)
 
 
 def _write(text: str, path) -> None:
@@ -208,17 +202,14 @@ def model_to_dict(report: IdentReport) -> dict:
                     **{k: v for k, v in optional.items() if v is not None})
 
 
-def model_from_dict(doc: dict) -> PredictionModel:
-    return _from_document("model document", lambda: PredictionModel(
-        coeffs=_number(doc, "coeffs", nested=True),
-        offset=_number(doc, "offset") if "offset" in doc else None,
-        step=_number(doc, "step") if "step" in doc else None,
-    ))
-
-
 def write_model(report: IdentReport, path) -> None:
     write_report(model_to_dict(report), path)
 
 
 def read_model(path) -> PredictionModel:
-    return model_from_dict(_read_document(path))
+    doc = _read_document(path)
+    return _from_document("model document", lambda: PredictionModel(
+        coeffs=_number(doc, "coeffs", nested=True),
+        offset=_number(doc, "offset") if "offset" in doc else None,
+        step=_number(doc, "step") if "step" in doc else None,
+    ))

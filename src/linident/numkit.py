@@ -29,7 +29,6 @@ __all__ = [
     "MonicPolynomial",
     "as_matrix",
     "char_poly",
-    "companion_matrix",
     "condition_estimate",
     "discriminant",
     "mat_exp",
@@ -96,10 +95,6 @@ class MonicPolynomial:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _as_vector(self.coeffs, what="coefficients"))
 
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size
-
     def descending(self) -> np.ndarray:
         """Coefficients in descending-power order, leading 1 included."""
         return np.concatenate(([1.0], self.coeffs[::-1]))
@@ -164,13 +159,6 @@ def char_poly(m):
         mk = am + ck[..., None, None] * eye
     coeffs = desc[..., ::-1]
     return MonicPolynomial(coeffs) if a.ndim == 2 else coeffs
-
-
-def companion_matrix(p: MonicPolynomial) -> np.ndarray:
-    """Companion matrix: superdiagonal ones, last row (-a_0, ..., -a_{n-1})."""
-    a = np.eye(p.degree, k=1)
-    a[-1] = -p.coeffs
-    return a
 
 
 def poly_roots(p: MonicPolynomial) -> np.ndarray:

@@ -19,7 +19,6 @@ from linident import (
     char_poly,
     discriminant,
     draw_sample,
-    evaluate_block,
     evaluate_property,
     identify,
     is_observable,
@@ -36,8 +35,10 @@ from linident.experiments import (
     DISCRIMINANT_FLOOR,
     FAILURE,
     NUMERICAL_REJECTION,
+    OUTCOMES,
     PROPERTIES,
     SUCCESS,
+    _evaluate,
 )
 
 SEED = 90
@@ -72,6 +73,12 @@ def reference_evaluate(prop, c, a, x0, config):
         return SUCCESS if rel <= config.success_tol else FAILURE
     except LinIdentError:
         return NUMERICAL_REJECTION
+
+
+def evaluate_block(prop, c, a, x0, config):
+    """(outcome, diagnostics) for each stacked draw, from the block engine."""
+    codes, diagnostics = _evaluate(prop, c, a, x0, config)
+    return [(OUTCOMES[k], diagnostics(i)) for i, k in enumerate(codes)]
 
 
 def stacked(draws):

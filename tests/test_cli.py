@@ -188,6 +188,19 @@ class TestObservabilityCommand:
         assert err.splitlines()[0] == (f"ParseError: system file {path}: "
                                        "unknown system kind 'weird'")
 
+    def test_overflowing_matrix_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "sys.json"
+        path.write_text('{"format_version": 1, "kind": "discrete", '
+                        '"A": [[1e308, 1e308], [1e308, 1e308]], "c": [1e308, 1]}\n')
+        report = tmp_path / "report.json"
+        for out in ([], ["--out", str(report)]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                result = run(capsys, "observability", "--system", str(path), *out)
+            assert result == (1, "", "NonFinite: observability matrix diverges: "
+                                     "entry 3 of 4 is not finite\n")
+        assert not report.exists()
+
 
 class TestSpectrumCommand:
     def test_rotation(self, capsys, tmp_path):

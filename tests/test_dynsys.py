@@ -243,6 +243,16 @@ class TestOutputRowG:
                 with pytest.raises(NotObservable):
                     output_row_G(a, c)
 
+    def test_overflowing_observability_matrix_is_non_finite(self):
+        a, c = [[1e308, 1e308], [1e308, 1e308]], [1e308, 1]  # c A overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: is_observable(a, c), lambda: output_row_G(a, c),
+                         lambda: affine_offset(a, [1, 1], c)):
+                with pytest.raises(NonFinite, match="^observability matrix diverges: "
+                                                    "entry 3 of 4 is not finite$"):
+                    call()
+
 
 class TestAffineOffset:
     def test_zero_drive(self):

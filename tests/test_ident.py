@@ -301,6 +301,18 @@ class TestVerifyConjugacy:
         with pytest.raises(ValueError, match="^tol must be positive and finite$"):
             verify_conjugacy(model, SystemSpec("discrete", FIB, [1, 0]), tol=tol)
 
+    @pytest.mark.parametrize("sys, message", [
+        (SystemSpec("continuous", [[800, 0], [0, 1]], [1, 1], step=1.0),
+         "sampled matrix diverges: entry 1 of 4 is not finite"),
+        (SystemSpec("discrete", [[1e200, 0], [0, 1e200]], [1, 1]),
+         "characteristic polynomial diverges: coefficient 1 of 2 is not finite"),
+    ], ids=["exp-overflow", "char-poly-overflow"])
+    def test_overflow_is_non_finite(self, sys, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match=f"^{message}$"):
+                verify_conjugacy(PredictionModel([1.0, 1.0]), sys)
+
 
 class TestAssessStability:
     def test_contracting_scalar(self):

@@ -183,10 +183,11 @@ class TestWriter:
     VALUES = [1.0, -0.0, 1 / 3, 5e-324, -1.7976931348623157e308, 12345678901234567.0, 0.1 + 0.2]
 
     @pytest.mark.parametrize("step", [None, 0.1])
-    def test_all_writers_match_the_loop(self, tmp_path, series, step):
+    def test_all_writers_match_the_loop(self, tmp_path, capsys, series, step):
         for s in (TimeSeries(self.VALUES, step=step), TimeSeries(series.values, step=step)):
             want = reference_format(s)
-            assert io.format_series(s) == want
+            io.write_series(s, None)
+            assert capsys.readouterr().out == want
             io.write_series(s, tmp_path / "io.txt")
             _emit_series(s, tmp_path / "cli.txt")
             assert (tmp_path / "io.txt").read_text() == want

@@ -6,8 +6,8 @@ import pytest
 from linident import (
     DimensionMismatch,
     MonicPolynomial,
+    PredictionModel,
     char_poly,
-    companion_matrix,
     condition_estimate,
     discriminant,
     mat_exp,
@@ -67,21 +67,21 @@ class TestCharPoly:
         for _ in range(100):
             n = int(rng.integers(1, 7))
             p = MonicPolynomial(rng.uniform(-2, 2, n))
-            back = char_poly(companion_matrix(p))
+            back = char_poly(PredictionModel(p.coeffs).companion)
             assert np.abs(back.coeffs - p.coeffs).max() <= 1e-10
 
 
 class TestCompanionMatrix:
     def test_square_minus_one(self):
         np.testing.assert_array_equal(
-            companion_matrix(MonicPolynomial([-1, 0])), [[0, 1], [1, 0]])
+            PredictionModel([-1, 0]).companion, [[0, 1], [1, 0]])
 
     def test_fibonacci(self):
         np.testing.assert_array_equal(
-            companion_matrix(MonicPolynomial([-1, -1])), [[0, 1], [1, 1]])
+            PredictionModel([-1, -1]).companion, [[0, 1], [1, 1]])
 
     def test_degree_one(self):
-        np.testing.assert_array_equal(companion_matrix(MonicPolynomial([5])), [[-5]])
+        np.testing.assert_array_equal(PredictionModel([5]).companion, [[-5]])
 
 
 class TestPolyRoots:
