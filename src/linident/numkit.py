@@ -10,7 +10,9 @@ dense problems (n up to a few tens); no sparsity, no extended precision.
 ``condition_estimate`` also take stacks: leading axes in front of the matrix
 (or coefficient) axes, each slice handled as if it were passed alone. A
 single matrix is the unstacked case and keeps its scalar or
-``MonicPolynomial`` result.
+``MonicPolynomial`` result. Rank and condition number are scale-invariant,
+also for finite matrices near the float limit, whose largest singular value
+may overflow: such a matrix is divided by a power of two first.
 """
 
 from __future__ import annotations
@@ -199,15 +201,31 @@ def discriminant(p):
     return sign * (float(det) if s.ndim == 2 else det)
 
 
+def _scale_free(f, m, overflowed, scalar):
+    """f(m) for a scale-invariant function f of the singular values of each
+    matrix (rank, condition number). A slice whose result is ``overflowed``
+    (what an infinite sigma_max gives) and whose largest |entry| is big
+    enough for that (sigma_max <= sqrt(rows cols) max|entry|, with a factor
+    2 for rounding) is redone after division by a power of two; every other
+    slice keeps its exact bits. A single matrix gives a ``scalar``."""
+    a = as_matrix(m, stacked=True)
+    r = f(a)
+    hit = r == overflowed
+    if (np.count_nonzero(hit) if a.ndim > 2 else hit):  # a scalar test costs ~50 ns
+        bound = 2 * math.sqrt(a.shape[-2] * a.shape[-1])
+        redo = hit & (np.abs(a).max(axis=(-2, -1)) > np.finfo(float).max / bound)
+        r = np.array(r)
+        r[redo] = f(a[redo] / 2.0 ** math.ceil(math.log2(bound)))
+    return r if a.ndim > 2 else scalar(r)
+
+
 def numerical_rank(m, tol: float = DEFAULT_RANK_TOL):
     """Number of singular values above ``tol`` times the largest one.
 
     A stack of matrices gives an integer array of ranks.
     """
     _positive(tol, "tol")
-    a = as_matrix(m, stacked=True)
-    rank = np.linalg.matrix_rank(a, rtol=tol)
-    return int(rank) if a.ndim == 2 else rank
+    return _scale_free(lambda a: np.linalg.matrix_rank(a, rtol=tol), m, 0, int)
 
 
 def condition_estimate(m):
@@ -215,6 +233,4 @@ def condition_estimate(m):
 
     A stack of matrices gives an array of estimates.
     """
-    a = as_matrix(m, stacked=True)
-    cond = np.linalg.cond(a)
-    return float(cond) if a.ndim == 2 else cond
+    return _scale_free(np.linalg.cond, m, math.inf, float)

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -90,6 +91,15 @@ class TestIdentifyCommand:
             assert result == (1, "", f"NonFinite: {message}\n")
         assert not model.exists()
 
+    def test_window_near_the_float_limit(self, capsys, tmp_path):
+        p = tmp_path / "s.txt"
+        p.write_text("1e307\n1.7e308\n1e307\n1e300\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "identify", "--series", str(p), "--n", "2")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["condition_estimate"] == pytest.approx(1.125)
+
     def test_zero_step_header_exits_two(self, capsys, tmp_path):
         p = tmp_path / "s.txt"
         p.write_text("# sampled series\n# step=0\n1\n2\n3\n")
@@ -178,6 +188,16 @@ class TestObservabilityCommand:
         code, out, _ = run(capsys, "observability", "--system", str(fib_system))
         assert code == 0
         assert '"observable": true' in out
+
+    def test_observable_near_the_float_limit(self, capsys, tmp_path):
+        path = tmp_path / "sys.json"
+        path.write_text('{"format_version": 1, "kind": "discrete", '
+                        '"A": [[1.5, 1.5], [-1.5, 1.5]], "c": [1e308, 0]}\n')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run(capsys, "observability", "--system", str(path))
+        assert result == (0, '{"format_version": 1, "observable": true, "order": 2, '
+                             '"rank": 2}\n', "")
 
     def test_unknown_kind_exits_two(self, capsys, tmp_path):
         path = tmp_path / "sys.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -7,6 +8,7 @@ import pytest
 
 from linident import ident, io, numerical_rank
 from linident import (
+    ConjugacyReport,
     DimensionMismatch,
     InsufficientData,
     MissingStep,
@@ -78,6 +80,23 @@ class TestIdentify:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
             identify(TimeSeries([1, 1, 2]), 2)
+
+    def test_singular_overdetermined_window_is_not_solved(self, monkeypatch):
+        def no_lstsq(*args, **kwargs):
+            raise AssertionError("a rejected window was solved")
+
+        monkeypatch.setattr(ident.np.linalg, "lstsq", no_lstsq)
+        with pytest.raises(SingularHankel, match="^window condition estimate .+ exceeds cap$"):
+            identify(TimeSeries([7] * 8), 2, overdetermined=True)
+
+    def test_window_near_the_float_limit(self):
+        # sigma_max of the window overflows, its condition number is 1.125
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = identify(TimeSeries([1e307, 1.7e308, 1e307, 1e300]), 2)
+        assert report.condition_estimate == pytest.approx(1.125)
+        scaled = -np.linalg.solve([[1e7, 1.7e8], [1.7e8, 1e7]], [1e7, 1.0])  # series / 1e300
+        np.testing.assert_allclose(report.model.coeffs, scaled, rtol=1e-12)
 
     def test_exact_recovery_random_systems(self):
         rng = np.random.default_rng(13)
@@ -273,6 +292,20 @@ class TestEstimateOrder:
 
 class TestVerifyConjugacy:
     def test_fibonacci_exact(self):
+        model = identify(fib_series(5), 2).model
+        report = verify_conjugacy(model, SystemSpec("discrete", FIB, [1, 0]))
+        assert report.coeff_error == 0.0
+        assert report.conjugate
+
+    def test_report_fields(self):
+        assert [f.name for f in dataclasses.fields(ConjugacyReport)] == ["coeff_error",
+                                                                          "conjugate"]
+
+    def test_decided_without_roots(self, monkeypatch):
+        def no_roots(p):
+            raise AssertionError("verify_conjugacy computed roots")
+
+        monkeypatch.setattr(ident, "poly_roots", no_roots)
         model = identify(fib_series(5), 2).model
         report = verify_conjugacy(model, SystemSpec("discrete", FIB, [1, 0]))
         assert report.coeff_error == 0.0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,49 @@ class TestNumericalRank:
 
     def test_zero_matrix(self):
         assert numerical_rank(np.zeros((3, 2))) == 0
+
+
+class TestNearFloatLimit:
+    """Rank and condition number are scale-invariant, also for finite
+    matrices whose largest singular value overflows."""
+
+    # the observability matrix of A = [[1.5, 1.5], [-1.5, 1.5]], c = (1e308, 0)
+    Q = np.array([[1e308, 0.0], [1.5e308, 1.5e308]])
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_rank_and_condition(self):
+        assert numerical_rank(self.Q) == 2
+        assert condition_estimate(self.Q) == pytest.approx(np.linalg.cond(self.Q / 1e300))
+
+    def test_rank_one(self):
+        m = np.full((2, 2), 1e308)
+        assert numerical_rank(m) == 1
+        assert condition_estimate(m) > 1e15
+
+    def test_rectangular(self):
+        m = np.vstack((self.Q, [1e308, -1e308]))
+        assert numerical_rank(m) == 2
+        assert numerical_rank(m.T) == 2
+        assert math.isfinite(condition_estimate(m))
+
+    def test_stack_slices_as_alone(self):
+        rng = np.random.default_rng(23)
+        stack = rng.uniform(-1, 1, (5, 2, 2))
+        stack[1] = self.Q
+        stack[3] = 0.0  # rank 0 and condition inf without an overflow
+        ranks, conds = numerical_rank(stack), condition_estimate(stack)
+        for m, r, k in zip(stack, ranks, conds):
+            assert r == numerical_rank(m)
+            assert k == condition_estimate(m)
+        assert ranks.tolist() == [2, 2, 2, 0, 2]
+        assert math.isfinite(conds[1]) and math.isinf(conds[3])
+        for i in (0, 2, 4):  # ordinary slices keep numpy's bits
+            assert conds[i] == np.linalg.cond(stack[i])
 
 
 class TestStackedKernels:
