@@ -186,6 +186,8 @@ def output_row_G(a, c) -> np.ndarray:
     q, rank = _observability(a, c)
     if rank < n:
         raise NotObservable("observability matrix is numerically singular")
+    # Q / 2^e keeps G and its bits; c A^n and the LU pivots stay finite
+    q = np.ldexp(q, -np.frexp(np.abs(q).max())[1])
     return np.linalg.solve(q.T, q[n - 1] @ a)  # c A^{n-1} is the last row of Q
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,12 +150,22 @@ def _solve_windows(h, rhs) -> tuple[np.ndarray, np.ndarray]:
     SINGULAR_CONDITION_CAP; the other rows of the solution are NaN.
 
     Only windows under the cap reach the LU solve, so one singular window
-    never fails the stack.
+    never fails the stack. LU does not rescale, and an infinite pivot gives a
+    finite, wrong solution; partial pivoting grows entries at most
+    2^(m-1)-fold, so a window whose largest |entry| times 2^m would overflow
+    is solved with its rhs after division by a power of two that brings that
+    entry below 1. Every other window keeps its bits.
     """
     cond = condition_estimate(h)
     solved = cond <= SINGULAR_CONDITION_CAP
+    h, b = h[solved], rhs[solved]
+    limit = math.ldexp(sys.float_info.max, -h.shape[-1])
+    if np.abs(h).max(initial=0) > limit:  # one test per stack
+        peak = np.abs(h).max(axis=(-2, -1))
+        e = np.where(peak > limit, np.frexp(peak)[1], 0)
+        h, b = np.ldexp(h, -e[..., None, None]), np.ldexp(b, -e[..., None])
     sol = np.full(rhs.shape, np.nan)
-    sol[solved] = np.linalg.solve(h[solved], rhs[solved][..., None])[..., 0]
+    sol[solved] = np.linalg.solve(h, b[..., None])[..., 0]
     return sol, cond
 
 

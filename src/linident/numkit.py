@@ -201,22 +201,23 @@ def discriminant(p):
     return sign * (float(det) if s.ndim == 2 else det)
 
 
-def _scale_free(f, m, overflowed, scalar):
+def _scale_free(f, m, overflowed):
     """f(m) for a scale-invariant function f of the singular values of each
     matrix (rank, condition number). A slice whose result is ``overflowed``
     (what an infinite sigma_max gives) and whose largest |entry| is big
     enough for that (sigma_max <= sqrt(rows cols) max|entry|, with a factor
     2 for rounding) is redone after division by a power of two; every other
-    slice keeps its exact bits. A single matrix gives a ``scalar``."""
+    slice keeps its exact bits."""
     a = as_matrix(m, stacked=True)
     r = f(a)
     hit = r == overflowed
     if (np.count_nonzero(hit) if a.ndim > 2 else hit):  # a scalar test costs ~50 ns
         bound = 2 * math.sqrt(a.shape[-2] * a.shape[-1])
         redo = hit & (np.abs(a).max(axis=(-2, -1)) > np.finfo(float).max / bound)
-        r = np.array(r)
-        r[redo] = f(a[redo] / 2.0 ** math.ceil(math.log2(bound)))
-    return r if a.ndim > 2 else scalar(r)
+        if redo.any():
+            r = np.array(r)
+            r[redo] = f(a[redo] / 2.0 ** math.ceil(math.log2(bound)))
+    return r if a.ndim > 2 else r.item()
 
 
 def numerical_rank(m, tol: float = DEFAULT_RANK_TOL):
@@ -225,7 +226,7 @@ def numerical_rank(m, tol: float = DEFAULT_RANK_TOL):
     A stack of matrices gives an integer array of ranks.
     """
     _positive(tol, "tol")
-    return _scale_free(lambda a: np.linalg.matrix_rank(a, rtol=tol), m, 0, int)
+    return _scale_free(lambda a: np.linalg.matrix_rank(a, rtol=tol), m, 0)
 
 
 def condition_estimate(m):
@@ -233,4 +234,4 @@ def condition_estimate(m):
 
     A stack of matrices gives an array of estimates.
     """
-    return _scale_free(np.linalg.cond, m, math.inf, float)
+    return _scale_free(np.linalg.cond, m, math.inf)

@@ -100,6 +100,15 @@ class TestIdentifyCommand:
         assert (code, err) == (0, "")
         assert json.loads(out)["condition_estimate"] == pytest.approx(1.125)
 
+    def test_pivot_near_the_float_limit(self, capsys, tmp_path):
+        p = tmp_path / "s.txt"
+        p.write_text("1.7e308\n1.7e308\n-1.7e308\n0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "identify", "--series", str(p), "--n", "2")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["coeffs"] == pytest.approx([0.5, 0.5], rel=1e-15)
+
     def test_zero_step_header_exits_two(self, capsys, tmp_path):
         p = tmp_path / "s.txt"
         p.write_text("# sampled series\n# step=0\n1\n2\n3\n")

@@ -220,6 +220,15 @@ class TestOutputRowG:
             g = output_row_G(a, c)
             assert np.abs(g + char_poly(a).coeffs).max() <= 1e-8
 
+    def test_near_the_float_limit(self):
+        # Q is finite and observable, but sigma_max, c A^n and an unscaled
+        # LU pivot overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a, c in (([[1.5, 1.5], [-1.5, 1.5]], [1e308, 0]), ([[1, 1], [1, -1]], [1.7e308, 0])):
+                g = output_row_G(a, c)
+                np.testing.assert_allclose(g, -char_poly(np.array(a, float)).coeffs, atol=1e-15)
+
     def test_nearly_unobservable_raises_like_is_observable(self):
         # Q = [[1, 0], [1, 1e-11]] is not exactly singular, but has rank 1
         # at the default tolerance.

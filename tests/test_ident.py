@@ -98,6 +98,34 @@ class TestIdentify:
         scaled = -np.linalg.solve([[1e7, 1.7e8], [1.7e8, 1e7]], [1e7, 1.0])  # series / 1e300
         np.testing.assert_allclose(report.model.coeffs, scaled, rtol=1e-12)
 
+    def test_pivot_near_the_float_limit(self):
+        # unscaled LU of [[a, a], [a, -a]] gets the pivot -a - a = -inf and a
+        # finite, wrong solution; the model is y_{m+2} = -(y_m + y_{m+1}) / 2
+        a = 1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exact = identify(TimeSeries([a, a, -a, 0]), 2)
+            over = identify(TimeSeries([a, a, -a, 0, 0]), 2, overdetermined=True)
+        np.testing.assert_allclose(exact.model.coeffs, [0.5, 0.5], rtol=1e-15)
+        assert exact.residual == 0.0
+        np.testing.assert_allclose(over.model.coeffs, [1 / 3, 1 / 2], rtol=1e-12)
+
+    def test_solve_stack_slices_as_alone(self):
+        rng = np.random.default_rng(29)
+        h = rng.uniform(-1, 1, (4, 2, 2))
+        rhs = rng.uniform(-1, 1, (4, 2))
+        h[2], rhs[2] = [[1.7e308, 1.7e308], [1.7e308, -1.7e308]], [-1.7e308, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol, cond = ident._solve_windows(h, rhs)
+            for i in range(4):
+                alone = ident._solve_windows(h[i:i + 1], rhs[i:i + 1])
+                assert sol[i].tolist() == alone[0][0].tolist() and cond[i] == alone[1][0]
+        np.testing.assert_allclose(sol[2], [-0.5, -0.5], rtol=1e-15)
+        for i in (0, 1, 3):  # ordinary windows keep the bits of the unscaled solve
+            unscaled = np.linalg.solve(h[i:i + 1], rhs[i:i + 1, :, None])[0, :, 0]
+            assert sol[i].tolist() == unscaled.tolist()
+
     def test_exact_recovery_random_systems(self):
         rng = np.random.default_rng(13)
         for _ in range(40):
