@@ -15,6 +15,7 @@ from .numkit import (
     MonicPolynomial,
     _as_square,
     _as_vector,
+    _binary_exponent,
     _positive,
     char_poly,
     mat_exp,
@@ -159,12 +160,25 @@ def krylov_matrix(a, x0) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(states, -1, -2))
 
 
+def _power_scaled(m, a, axis: int) -> np.ndarray:
+    """Q (axis -2) or K (axis -1) with its power k, row c A^k or column
+    A^k x0, divided by 2^(k e) for e = ``_binary_exponent(A)``: the matrix
+    of A / 2^e, exact barring underflow, whose rank does not see the |A|^k
+    growth of the powers. Leading axes stack systems."""
+    shift = np.arange(m.shape[-1]) * _binary_exponent(a)[..., None]
+    if not np.count_nonzero(shift):  # e = 0, as for most draws from (-1, 1): ldexp is slow
+        return m
+    return np.ldexp(m, -(shift[..., :, None] if axis == -2 else shift[..., None, :]))
+
+
 def _observability(a, c) -> tuple[np.ndarray, int]:
-    """The observability matrix Q, checked for overflow, and its rank."""
+    """The observability matrix Q, checked for overflow, and its rank,
+    taken on the ``_power_scaled`` Q."""
     with np.errstate(over="ignore", invalid="ignore"):
         q = observability_matrix(a, c)
-    _require_finite(q, "observability matrix", "entry")
-    return q, numerical_rank(q)
+        scaled = _power_scaled(q, a, -2)
+    _require_finite(scaled, "observability matrix", "entry")
+    return q, numerical_rank(scaled)
 
 
 def is_observable(a, c) -> tuple[bool, int]:
@@ -187,7 +201,7 @@ def output_row_G(a, c) -> np.ndarray:
     if rank < n:
         raise NotObservable("observability matrix is numerically singular")
     # Q / 2^e keeps G and its bits; c A^n and the LU pivots stay finite
-    q = np.ldexp(q, -np.frexp(np.abs(q).max())[1])
+    q = np.ldexp(q, -_binary_exponent(q))
     return np.linalg.solve(q.T, q[n - 1] @ a)  # c A^{n-1} is the last row of Q
 
 

@@ -32,9 +32,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DimensionMismatch
-from .dynsys import _iterate, krylov_matrix, observability_matrix
+from .dynsys import _iterate, _power_scaled, krylov_matrix, observability_matrix
 from .ident import SINGULAR_CONDITION_CAP, _cap_exceeded, _hankel, _solve_windows
-from .numkit import _as_vector, _positive, char_poly, discriminant, mat_exp, numerical_rank
+from .numkit import (_as_vector, _binary_exponent, _positive, char_poly, discriminant, mat_exp,
+                     numerical_rank)
 
 SUCCESS = "success"
 FAILURE = "failure"
@@ -193,9 +194,10 @@ def _evaluate(prop: str, c, a, x0, config: TrialConfig):
         if prop == "distinct-eigenvalues":
             return _distinct_eigenvalues(a, n)
         if prop == "observable":
-            return _full_rank(observability_matrix(a, c), "observability matrix")
+            return _full_rank(_power_scaled(observability_matrix(a, c), a, -2),
+                              "observability matrix")
         if prop == "krylov-independent":
-            return _full_rank(krylov_matrix(a, x0), "Krylov matrix")
+            return _full_rank(_power_scaled(krylov_matrix(a, x0), a, -1), "Krylov matrix")
         return _end_to_end(prop, c, a, x0, config)
 
 
@@ -204,7 +206,9 @@ def _non_finite(what: str) -> dict:
 
 
 def _distinct_eigenvalues(a, n: int):
-    coeffs = char_poly(a)
+    # a_i / 2^(e (n - i)): the exact coefficients of A / 2^e, whose
+    # discriminant and floor do not depend on the box width
+    coeffs = np.ldexp(char_poly(a), -_binary_exponent(a)[:, None] * np.arange(n, 0, -1))
     scale = np.maximum(1.0, np.abs(coeffs).max(axis=-1)) ** (2 * n - 2)
     finite = np.isfinite(coeffs).all(axis=-1) & np.isfinite(scale)
     d = np.ones(len(a))

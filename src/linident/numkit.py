@@ -10,9 +10,9 @@ dense problems (n up to a few tens); no sparsity, no extended precision.
 ``condition_estimate`` also take stacks: leading axes in front of the matrix
 (or coefficient) axes, each slice handled as if it were passed alone. A
 single matrix is the unstacked case and keeps its scalar or
-``MonicPolynomial`` result. Rank and condition number are scale-invariant,
-also for finite matrices near the float limit, whose largest singular value
-may overflow: such a matrix is divided by a power of two first.
+``MonicPolynomial`` result. One rescale serves every rank, condition estimate
+and solve: the exact division by 2^e, e = ``_binary_exponent``; a rank or
+condition number whose sigma_max overflows is redone after it.
 """
 
 from __future__ import annotations
@@ -201,22 +201,22 @@ def discriminant(p):
     return sign * (float(det) if s.ndim == 2 else det)
 
 
+def _binary_exponent(m) -> np.ndarray:
+    """Each stacked matrix's e with max|entry| in [2^(e-1), 2^e); 0 if zero."""
+    return np.frexp(np.abs(m).max(axis=(-2, -1)))[1]
+
+
 def _scale_free(f, m, overflowed):
     """f(m) for a scale-invariant function f of the singular values of each
     matrix (rank, condition number). A slice whose result is ``overflowed``
-    (what an infinite sigma_max gives) and whose largest |entry| is big
-    enough for that (sigma_max <= sqrt(rows cols) max|entry|, with a factor
-    2 for rounding) is redone after division by a power of two; every other
-    slice keeps its exact bits."""
+    (what an infinite sigma_max gives) is redone after division by 2^e;
+    every other slice keeps its exact bits."""
     a = as_matrix(m, stacked=True)
     r = f(a)
     hit = r == overflowed
     if (np.count_nonzero(hit) if a.ndim > 2 else hit):  # a scalar test costs ~50 ns
-        bound = 2 * math.sqrt(a.shape[-2] * a.shape[-1])
-        redo = hit & (np.abs(a).max(axis=(-2, -1)) > np.finfo(float).max / bound)
-        if redo.any():
-            r = np.array(r)
-            r[redo] = f(a[redo] / 2.0 ** math.ceil(math.log2(bound)))
+        r = np.array(r)
+        r[hit] = f(np.ldexp(a[hit], -_binary_exponent(a[hit])[..., None, None]))
     return r if a.ndim > 2 else r.item()
 
 

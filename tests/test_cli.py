@@ -208,6 +208,15 @@ class TestObservabilityCommand:
         assert result == (0, '{"format_version": 1, "observable": true, "order": 2, '
                              '"rank": 2}\n', "")
 
+    def test_integer_system_with_fast_growing_powers(self, capsys, tmp_path):
+        # det Q = 6936422406069107955972, with rows c A^k that grow like 2000^k
+        path = tmp_path / "sys.json"
+        path.write_text('{"format_version": 1, "kind": "discrete", "A": [[-445, 631, 342, -994], '
+                        '[-212, 714, 109, -932], [530, 459, 693, -648], [-821, 726, -955, 83]], '
+                        '"c": [-8, -4, 0, -1]}\n')
+        assert run(capsys, "observability", "--system", str(path)) == (
+            0, '{"format_version": 1, "observable": true, "order": 4, "rank": 4}\n', "")
+
     def test_unknown_kind_exits_two(self, capsys, tmp_path):
         path = tmp_path / "sys.json"
         path.write_text('{"format_version": 1, "kind": "weird", "A": [[1]], "c": [1]}\n')

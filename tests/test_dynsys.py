@@ -27,6 +27,11 @@ from _util import draw_discrete
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 FIB = np.array([[0.0, 1.0], [1.0, 1.0]])
+# observable (det Q = 6936422406069107955972 exactly), but the rows c A^k
+# grow like 2000^k, so an unscaled Q has numerical rank 3
+INT_A = np.array([[-445.0, 631, 342, -994], [-212, 714, 109, -932],
+                  [530, 459, 693, -648], [-821, 726, -955, 83]])
+INT_C = np.array([-8.0, -4, 0, -1])
 
 
 def fibonacci(m: int) -> int:
@@ -187,6 +192,11 @@ class TestObservability:
             c = rng.standard_normal(n)
             assert is_observable(np.eye(n), c)[1] == 1
 
+    def test_rank_does_not_see_the_growth_of_the_powers(self):
+        assert is_observable(INT_A, INT_C) == (True, 4)
+        for k in (-20, 20):  # the rank of (A 2^k, c) is the rank of (A, c)
+            assert is_observable(np.ldexp(INT_A, k), INT_C) == (True, 4)
+
 
 class TestKrylov:
     def test_eigenvector_start_is_singular(self):
@@ -228,6 +238,10 @@ class TestOutputRowG:
             for a, c in (([[1.5, 1.5], [-1.5, 1.5]], [1e308, 0]), ([[1, 1], [1, -1]], [1.7e308, 0])):
                 g = output_row_G(a, c)
                 np.testing.assert_allclose(g, -char_poly(np.array(a, float)).coeffs, atol=1e-15)
+
+    def test_integer_system_with_fast_growing_powers(self):
+        g = output_row_G(INT_A, INT_C)
+        np.testing.assert_allclose(g, -char_poly(INT_A).coeffs, rtol=1e-12)
 
     def test_nearly_unobservable_raises_like_is_observable(self):
         # Q = [[1, 0], [1, 1e-11]] is not exactly singular, but has rank 1

@@ -192,3 +192,17 @@ class TestMcEstimate:
             for n in (2, 5):
                 report = mc_estimate(prop, config(n=n, trials=300))
                 assert report.failures == 0, (prop, n, report.worst_cases)
+
+    @pytest.mark.parametrize("prop", ["distinct-eigenvalues", "observable", "krylov-independent"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 12])
+    def test_exact_properties_do_not_depend_on_a_power_of_two_box(self, prop, n):
+        # uniform(-L, L) is exactly L * uniform(-1, 1) for a power of two L,
+        # and no exact property of (c, A, x0) changes under that scaling
+        def counts(width):
+            report = mc_estimate(prop, config(n=n, trials=300, seed=7,
+                                              box=SamplingBox(-width, width)))
+            return report.successes, report.failures, report.numerical_rejections
+
+        unit = counts(1.0)
+        for width in (2.0 ** -10, 2.0 ** 10, 2.0 ** 40):
+            assert counts(width) == unit, width
