@@ -118,17 +118,69 @@ def _require_finite(values, what: str, item: str) -> None:
         raise NonFinite(f"{what} diverges: {item} {first} of {finite.size} is not finite")
 
 
+_BLOCK = 64  # states per block of a long series; a power of two
+# long double is wider than float64, and narrow enough for a float64 pair
+# hi + lo to hold it exactly: x87's 63 bits, not IEEE quad's 112
+_EXTENDED = 52 < np.finfo(np.longdouble).nmant < 106
+
+
 def _powers(a, x, length: int, b=None) -> np.ndarray:
     """States x_0 = x, x_{i+1} = a x_i (+ b), i < length, stacked on axis -2;
-    leading axes of ``a`` and ``x`` broadcast. The one power loop: it serves
-    simulation, the rows c A^i, the columns A^i x0 and the affine offset."""
-    states = np.empty(np.broadcast_shapes(a.shape[:-2], x.shape[:-1]) + (length, x.shape[-1]))
+    leading axes of ``a`` and ``x`` broadcast. The one power engine: it serves
+    simulation, the rows c A^i, the columns A^i x0 and the affine offset.
+
+    The first _BLOCK states come from the loop. In a long series, each
+    later block is the block before it mapped through ``_block_map``; where
+    that map does not exist, the loop runs to the end."""
+    n = x.shape[-1]
+    states = np.empty(np.broadcast_shapes(a.shape[:-2], x.shape[:-1]) + (length, n))
     states[..., 0, :] = x
-    for i in range(1, length):
+    # the map costs about n^3 / 32 loop steps (long double has no BLAS): take
+    # it only past two blocks and twice that
+    block = _block_map(a, b) if length > 2 * _BLOCK + n**3 // 16 else None
+    for i in range(1, length if block is None else _BLOCK):
         x = np.matvec(a, x, out=states[..., i, :])
         if b is not None:
             x += b
+    if block is not None:
+        p, q = block
+        rows = states[..., None, :, :]  # the hi and lo products go on the new axis
+        both = np.empty(states.shape[:-2] + (2, _BLOCK, n))
+        for j in range(_BLOCK, length, _BLOCK):
+            m = min(_BLOCK, length - j)
+            prod = np.matmul(rows[..., j - _BLOCK:j - _BLOCK + m, :], p, out=both[..., :m, :])
+            if q is not None:
+                prod += q
+            np.add(prod[..., 0, :, :], prod[..., 1, :, :], out=states[..., j:j + m, :])
     return states
+
+
+def _block_map(a, b):
+    """(P, q), the map x_{i+_BLOCK} = x_i P_hi + x_i P_lo (+ q_hi + q_lo) of
+    row states: P stacks (A^_BLOCK)ᵀ = P_hi + P_lo on axis -3, and q stacks
+    the drive's sum over _BLOCK steps in the same way (None without a drive).
+    The power of [[A, b], [0, 1]] is taken in long double by repeated
+    squaring and split into float64 hi and lo parts. None without extended
+    precision, or when hi + lo does not give back that power exactly: it
+    overflows or is subnormal in float64, or A is not finite."""
+    if not _EXTENDED:
+        return None
+    n = a.shape[-1]
+    if b is None:
+        m = a.astype(np.longdouble)
+    else:
+        m = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-1]) + (n + 1, n + 1), np.longdouble)
+        m[..., :n, :n], m[..., :n, n], m[..., n, n] = a, b, 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_BLOCK.bit_length() - 1):
+            m = m @ m
+        hi = m.astype(float)
+        lo = (m - hi).astype(float)
+        if not np.array_equal(hi + lo.astype(np.longdouble), m):
+            return None
+    pair = np.stack((hi, lo), axis=-3)
+    p = np.swapaxes(pair[..., :n, :n], -1, -2)
+    return p, None if b is None else pair[..., None, :n, n]
 
 
 def _iterate(a, b, c, x, length: int) -> np.ndarray:

@@ -374,12 +374,12 @@ class TestSimulateCommand:
                            "--x0", "1,1", "--len", "1476", "--out", str(out))
         assert (code, err) == (0, "")
         y = io.read_series(out).values
-        a, b = 1, 1
-        for _ in range(1474):
-            a, b = b, a + b
-        # F_1476, up to the rounding of 1474 float additions
-        assert y.size == 1476 and y[-1] == 1.3069892237633987e+308
-        assert math.isclose(y[-1], b, rel_tol=1e-15)
+        exact = [1, 1]  # F_1 .. F_1476
+        while len(exact) < 1476:
+            exact.append(exact[-2] + exact[-1])
+        assert y.size == 1476
+        # every sample within 4 ulp of the exact F_k, the last one included
+        assert all(abs(v - f) <= 4 * math.ulp(f) for v, f in zip(y.tolist(), map(float, exact)))
 
 
 class TestMonteCarloCommand:

@@ -2,22 +2,30 @@
 
 The reference functions below are the loops that identification, the
 residual check, prediction, simulation and the series writer ran one sample
-at a time. The vectorised paths do the same arithmetic in the same order,
-so on a long series every result must be bitwise equal to its loop.
+at a time. The vectorised paths of identification, prediction and the
+writer do the same arithmetic in the same order, so on a long series each of
+their results must be bitwise equal to its loop. Simulation is the one path
+that does not repeat its loop's arithmetic: past the first blocks it maps
+each block of states through an extended-precision power of A. It is held
+to an exact reference instead, and must be at least as accurate as the
+loop; where that power cannot be used, it must equal the loop bit for bit.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from linident import InsufficientData, ParseError, TimeSeries, identify, identify_affine, io, predict
+from linident import dynsys
 from linident.cli import _emit_series
 from linident.dynsys import _iterate
 from linident.ident import PredictionModel, _hankel, _solve_windows, _window_residual
 from linident.numkit import condition_estimate, mat_exp
 
 LENGTH = 20_000
+EXACT_LENGTH = 5_000  # steps of the 40-digit reference
 STEP = 0.5
 NS = (1, 2, 4, 8)
 K = 3
@@ -167,6 +175,25 @@ def test_predict(series, n, offset):
     assert bitwise_equal(got.values, want)
 
 
+def decimal_iterate(a, b, c, x, length):
+    """``reference_iterate`` in 40-digit decimal arithmetic on the same
+    float64 inputs: the exact series, up to about 1e-40 relative."""
+    exact = np.vectorize(lambda v: Decimal(float(v)), otypes=[object])
+    with localcontext(prec=40):
+        a, c, x = exact(a), exact(c), exact(x)
+        b = None if b is None else exact(b)
+        y = np.empty(x.shape[:-1] + (length,), dtype=object)
+        for i in range(length):
+            y[..., i] = np.vecdot(c, x)
+            x = np.matvec(a, x) if b is None else np.matvec(a, x) + b
+    return y.astype(float)
+
+
+def relative_error(y, exact):
+    """Largest |y - exact| of each series, relative to its largest |exact|."""
+    return np.abs(y - exact).max(axis=-1) / np.abs(exact).max(axis=-1)
+
+
 @pytest.mark.parametrize("n", NS)
 @pytest.mark.parametrize("drive", [False, True], ids=["homogeneous", "affine"])
 @pytest.mark.parametrize("stack", [(), (3,)], ids=["single", "stacked"])
@@ -176,6 +203,47 @@ def test_iterate(n, drive, stack):
     a = a.reshape(stack + (n, n))
     b = rng.uniform(-0.1, 0.1, stack + (n,)) if drive else None
     c, x = rng.uniform(-1, 1, stack + (n,)), rng.uniform(-1, 1, stack + (n,))
+    if n == 1 and not drive:  # A = exp(0) = [[1]]: every path is exact
+        assert bitwise_equal(_iterate(a, b, c, x, LENGTH), reference_iterate(a, b, c, x, LENGTH))
+    exact = decimal_iterate(a, b, c, x, EXACT_LENGTH)
+    got = relative_error(_iterate(a, b, c, x, EXACT_LENGTH), exact)
+    loop = relative_error(reference_iterate(a, b, c, x, EXACT_LENGTH), exact)
+    assert (got <= 2 * loop).all(), (got, loop)
+
+
+@pytest.mark.parametrize("n", NS)
+def test_two_blocks_are_the_loop(n):
+    """Short series (windows, Q, K, Monte Carlo draws) keep the loop's bits."""
+    rng = np.random.default_rng(5)
+    a = mat_exp(rotations(n, rng), STEP)
+    b, c, x = rng.uniform(-1, 1, (3, n))
+    length = 2 * dynsys._BLOCK
+    assert bitwise_equal(_iterate(a, b, c, x, length), reference_iterate(a, b, c, x, length))
+
+
+@pytest.mark.parametrize("a, x, length", [
+    ([[1e5, 0.0], [0.0, 0.5]], [0.0, 1.0], 200),  # A^64 overflows float64
+    ([[1e-5, 0.0], [0.0, 0.5]], [1e300, 1.0], 200),  # A^64 is subnormal
+    # a scalar series of this kind stays finite only while it is too short for blocks
+    ([[1e5]], [1e-300], 120),
+    ([[1e-5]], [1e300], 100),
+], ids=["overflow", "subnormal", "overflow-scalar", "subnormal-scalar"])
+def test_power_outside_float64_runs_the_loop(a, x, length):
+    """A finite series whose A^64 has no exact float64 hi + lo split is the loop's."""
+    a, x = np.array(a), np.array(x)
+    c = np.ones_like(x)
+    got = _iterate(a, None, c, x, length)
+    assert np.isfinite(got).all()
+    assert bitwise_equal(got, reference_iterate(a, None, c, x, length))
+
+
+@pytest.mark.parametrize("drive", [False, True], ids=["homogeneous", "affine"])
+def test_without_extended_precision_the_loop_runs_to_the_end(monkeypatch, drive):
+    monkeypatch.setattr(dynsys, "_EXTENDED", False)
+    rng = np.random.default_rng(11)
+    a = mat_exp(rotations(4, rng), STEP)
+    b = rng.uniform(-0.1, 0.1, 4) if drive else None
+    c, x = rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4)
     assert bitwise_equal(_iterate(a, b, c, x, LENGTH), reference_iterate(a, b, c, x, LENGTH))
 
 
