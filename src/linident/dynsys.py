@@ -122,6 +122,11 @@ _BLOCK = 64  # states per block of a long series; a power of two
 # long double is wider than float64, and narrow enough for a float64 pair
 # hi + lo to hold it exactly: x87's 63 bits, not IEEE quad's 112
 _EXTENDED = 52 < np.finfo(np.longdouble).nmant < 106
+# largest max(|x| |P|) / max|x P| over the first block's states x at which
+# the blocks run. Each block rounds to about eps |x| |P|, so past it they
+# lose digits the loop keeps: companion matrices of slow rotations reach
+# 1e2 to 1e5; the rotation systems of the tests and of cli-long stay below 3.
+_CANCELLATION = 8
 
 
 def _powers(a, x, length: int, b=None) -> np.ndarray:
@@ -131,41 +136,54 @@ def _powers(a, x, length: int, b=None) -> np.ndarray:
 
     The first _BLOCK states come from the loop. In a long series, each
     later block is the block before it mapped through ``_block_map``; where
-    that map does not exist, the loop runs to the end."""
+    that map is not taken, the loop runs to the end."""
     n = x.shape[-1]
     states = np.empty(np.broadcast_shapes(a.shape[:-2], x.shape[:-1]) + (length, n))
     states[..., 0, :] = x
-    # the map costs about n^3 / 32 loop steps (long double has no BLAS): take
-    # it only past two blocks and twice that
-    block = _block_map(a, b) if length > 2 * _BLOCK + n**3 // 16 else None
-    for i in range(1, length if block is None else _BLOCK):
-        x = np.matvec(a, x, out=states[..., i, :])
-        if b is not None:
-            x += b
-    if block is not None:
-        p, q = block
-        rows = states[..., None, :, :]  # the hi and lo products go on the new axis
-        both = np.empty(states.shape[:-2] + (2, _BLOCK, n))
-        for j in range(_BLOCK, length, _BLOCK):
-            m = min(_BLOCK, length - j)
-            prod = np.matmul(rows[..., j - _BLOCK:j - _BLOCK + m, :], p, out=both[..., :m, :])
-            if q is not None:
-                prod += q
-            np.add(prod[..., 0, :, :], prod[..., 1, :, :], out=states[..., j:j + m, :])
+    head = min(length, _BLOCK)
+    _steps(a, b, x, states, 1, head)
+    block = _block_map(a, b, states[..., :head, :], length)
+    if block is None:
+        _steps(a, b, states[..., head - 1, :], states, head, length)
+        return states
+    p, q = block
+    rows = states[..., None, :, :]  # the hi and lo products go on the new axis
+    both = np.empty(states.shape[:-2] + (2, _BLOCK, n))
+    for j in range(_BLOCK, length, _BLOCK):
+        m = min(_BLOCK, length - j)
+        prod = np.matmul(rows[..., j - _BLOCK:j - _BLOCK + m, :], p, out=both[..., :m, :])
+        if q is not None:
+            prod += q
+        np.add(prod[..., 0, :, :], prod[..., 1, :, :], out=states[..., j:j + m, :])
     return states
 
 
-def _block_map(a, b):
+def _steps(a, b, x, states, start: int, stop: int) -> None:
+    """The loop of ``_powers``: states start..stop-1, from x = state start-1."""
+    for i in range(start, stop):
+        x = np.matvec(a, x, out=states[..., i, :])
+        if b is not None:
+            x += b
+
+
+def _block_map(a, b, head, length: int):
     """(P, q), the map x_{i+_BLOCK} = x_i P_hi + x_i P_lo (+ q_hi + q_lo) of
     row states: P stacks (A^_BLOCK)ᵀ = P_hi + P_lo on axis -3, and q stacks
     the drive's sum over _BLOCK steps in the same way (None without a drive).
     The power of [[A, b], [0, 1]] is taken in long double by repeated
-    squaring and split into float64 hi and lo parts. None without extended
-    precision, or when hi + lo does not give back that power exactly: it
-    overflows or is subnormal in float64, or A is not finite."""
-    if not _EXTENDED:
-        return None
+    squaring and split into float64 hi and lo parts.
+
+    None, so that the loop runs on, when
+    - the series is too short: the map costs about n^3 / 32 loop steps (long
+      double has no BLAS), so it is taken only past two blocks and twice that;
+    - long double is not extended precision;
+    - hi + lo does not give back that power exactly: it overflows or is
+      subnormal in float64, or A is not finite;
+    - on the first block's states ``head``, |x| |P| (+ |q|) exceeds
+      _CANCELLATION times |x P (+ q)| for any stacked system."""
     n = a.shape[-1]
+    if not _EXTENDED or length <= 2 * _BLOCK + n**3 // 16:
+        return None
     if b is None:
         m = a.astype(np.longdouble)
     else:
@@ -177,6 +195,13 @@ def _block_map(a, b):
         hi = m.astype(float)
         lo = (m - hi).astype(float)
         if not np.array_equal(hi + lo.astype(np.longdouble), m):
+            return None
+        p = np.swapaxes(hi[..., :n, :n], -1, -2)
+        bound, near = np.abs(head) @ np.abs(p), head @ p
+        if b is not None:
+            bound += np.abs(hi[..., None, :n, n])
+            near += hi[..., None, :n, n]
+        if (bound.max(axis=(-2, -1)) > _CANCELLATION * np.abs(near).max(axis=(-2, -1))).any():
             return None
     pair = np.stack((hi, lo), axis=-3)
     p = np.swapaxes(pair[..., :n, :n], -1, -2)

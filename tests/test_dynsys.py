@@ -21,6 +21,7 @@ from linident import (
     sample_continuous,
     simulate_discrete,
 )
+from linident import dynsys
 from linident.dynsys import _iterate
 from _util import draw_discrete
 
@@ -82,7 +83,8 @@ class TestSimulateDiscrete:
         with np.errstate(over="ignore"):
             assert _iterate(FIB, None, np.array([0.0, 1.0]), np.ones(2), 1476)[-1] == math.inf
         exact = np.array([float(fibonacci(k)) for k in range(1, 1477)])
-        assert np.all(np.abs(y - exact) <= 4 * np.spacing(exact))
+        ulps = 4 if dynsys._EXTENDED else 13  # the loop alone rounds to 13 ulp
+        assert np.all(np.abs(y - exact) <= ulps * np.spacing(exact))
 
     def test_zero_weight_in_a_stack(self):
         c = np.array([[1.0, 0.0], [0.0, 1.0]])
