@@ -38,6 +38,7 @@ from .numkit import (
 SINGULAR_CONDITION_CAP = 1e10
 STABILITY_MARGIN = 1e-8
 ALIASING_MARGIN = 1e-6
+RANK_BLOCK = 8  # leading Hankels ranked per stacked call in estimate_order
 
 __all__ = [
     "ConjugacyReport",
@@ -260,12 +261,20 @@ def estimate_order(series: TimeSeries, n_max: int) -> int:
     need = 2 * n_max + 1
     if len(series) < need:
         raise InsufficientData(f"need {need} samples to scan orders up to {n_max}")
-    rank = numerical_rank(_hankel(series.values, 0, 1), DEFAULT_RANK_TOL)
-    for n in range(1, n_max + 1):  # each leading Hankel is ranked once
-        next_rank = numerical_rank(_hankel(series.values, 0, n + 1), DEFAULT_RANK_TOL)
-        if rank == n and next_rank <= n:
-            return n
-        rank = next_rank
+    # H_1 ... H_{n_max+1}, RANK_BLOCK sizes per stacked SVD: zero-padding H_m
+    # to the block's largest size adds only exact zero singular values, and
+    # blocks, not one stack, bound the padded work when n_max >> order
+    rank = -1  # of H_{m-1}; no H_0, so m = 1 decides nothing
+    for lo in range(1, n_max + 2, RANK_BLOCK):
+        sizes = np.arange(lo, min(lo + RANK_BLOCK, n_max + 2))
+        i = np.arange(sizes[-1])
+        inside = np.maximum.outer(i, i) < sizes[:, None, None]
+        padded = np.where(inside, _hankel(series.values, 0, sizes[-1]), 0.0)
+        ranks = numerical_rank(padded, DEFAULT_RANK_TOL)
+        for m, next_rank in zip(sizes.tolist(), ranks.tolist()):
+            if rank == m - 1 and next_rank < m:
+                return m - 1
+            rank = next_rank
     raise NoOrderFound(f"no order up to {n_max} fits the Hankel rank criterion")
 
 
@@ -283,7 +292,7 @@ def verify_conjugacy(model: PredictionModel, sys: SystemSpec,
 
 def assess_stability(model: PredictionModel) -> str:
     """Classify by spectral radius: below 1 stable, above 1 unstable."""
-    rho = float(np.abs(poly_roots(model.polynomial)).max())
+    rho = float(np.abs(np.roots(model.polynomial.descending())).max())  # no need to sort
     if rho < 1.0 - STABILITY_MARGIN:
         return "asymptotically-stable"
     if rho > 1.0 + STABILITY_MARGIN:
