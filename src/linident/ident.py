@@ -22,6 +22,7 @@ from .errors import (
     SingularHankel,
     ZeroRoot,
 )
+from . import dynsys
 from .dynsys import SystemSpec, TimeSeries, _require_finite, char_poly_of_sampled
 from .numkit import (
     DEFAULT_RANK_TOL,
@@ -39,6 +40,7 @@ SINGULAR_CONDITION_CAP = 1e10
 STABILITY_MARGIN = 1e-8
 ALIASING_MARGIN = 1e-6
 RANK_BLOCK = 8  # leading Hankels ranked per stacked call in estimate_order
+LOOP_STEPS = 512  # predictions of up to this many steps always run the loop
 
 __all__ = [
     "ConjugacyReport",
@@ -222,36 +224,150 @@ def _identify(series: TimeSeries, n: int, k: int, affine: bool = False,
 
 
 def _window_residual(y, k, n, coeffs, offset) -> float:
-    """Max equation defect over every window the series supports.
-
-    ``np.vecdot`` runs the same dot kernel per row as ``coeffs @ window``,
-    so each defect is bit-equal to the one-window product; a matrix
-    product (``h @ coeffs``) is not. ``fmax`` skips a NaN defect.
-    """
-    off = 0.0 if offset is None else offset
+    """Max equation defect over every window the series supports; ``fmax``
+    skips a NaN defect."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as inf
-        defect = y[k + n:] + np.vecdot(_hankel(y, k, n, len(y) - n - k), coeffs) - off
+        defect = _defects(y, k, n, coeffs, offset)
     return float(np.fmax.reduce(np.abs(defect), initial=0.0))
 
 
+def _defects(y, k, n, coeffs, offset):
+    """y_{j+n} + coeffs · (y_j, ..., y_{j+n-1}) - offset for every window
+    from j = k on, in the dtype of ``y`` and ``coeffs``.
+
+    ``np.vecdot`` runs the same dot kernel per row as ``coeffs @ window``,
+    so each float64 defect is bit-equal to the one-window product; a matrix
+    product (``h @ coeffs``) is not.
+    """
+    defect = y[k + n:] + np.vecdot(_hankel(y, k, n, len(y) - n - k), coeffs)
+    if offset:  # x - 0.0 is x, bit for bit: skip the pass
+        defect -= offset
+    return defect
+
+
 def predict(model: PredictionModel, seed, steps: int) -> TimeSeries:
-    """Continue the recurrence past the last n observed values."""
+    """Continue the recurrence past the last n observed values.
+
+    Up to LOOP_STEPS steps this is the loop: step i is offset - coeffs · w_i
+    in float64, w_i being the n values before it. Longer predictions run
+    ``_predict_blocks``, whose result is kept only where long double is
+    extended precision and every step's defect y_i + coeffs · w_i - offset,
+    taken in long double, is within (n+1) u (|offset| + |coeffs| · |w_i|),
+    u = 2^-53: the bound on the rounding of one step of the loop. So an
+    accepted prediction solves the recurrence as closely as the loop does,
+    step by step. Otherwise the loop runs from the start and gives its own
+    bits, and a diverging prediction raises NonFinite naming the loop's
+    first non-finite step.
+    """
     window = _as_vector(seed, model.order, "seed window")
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    coeffs, n = model.coeffs, model.order
     offset = 0.0 if model.offset is None else model.offset
-    n = model.order
     buf = np.empty(n + steps)
     buf[:n] = window
     out = buf[n:]
-    # window i is buf[i:i + n]: its last entry, out[i - 1], was written by
-    # the step before. coeffs.dot runs the same 1-D kernel as coeffs @ w.
-    dot = model.coeffs.dot
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, w in enumerate(_hankel(buf, 0, n, steps)):
-            out[i] = offset - dot(w)
+        if (steps <= LOOP_STEPS or not dynsys._EXTENDED
+                or not _predict_blocks(coeffs, offset, buf)):
+            # window i is buf[i:i + n]: its last entry, out[i - 1], was written by
+            # the step before. coeffs.dot runs the same 1-D kernel as coeffs @ w.
+            dot = coeffs.dot
+            for i, w in enumerate(_hankel(buf, 0, n, steps)):
+                out[i] = offset - dot(w)
     _require_finite(out, "prediction", "step")
     return TimeSeries(out, step=model.step)
+
+
+def _predict_blocks(coeffs, offset, buf) -> bool:
+    """buf[n:] in blocks of dynsys._BLOCK steps plus one correction; True
+    when the result is ``_accepted``.
+
+    - Block operator: Φ, whose column j is the loop's first _BLOCK steps
+      from the unit window e_j, run in long double. A unit forcing at one
+      step moves the steps after it by the impulse response
+      g = (1, Φ[:-1, n-1]).
+    - First pass: block b is Φ times the n values before it, plus the
+      offset's response cumsum(g) offset.
+    - Correction: the defects r of that series, in long double, force the
+      recurrence once more from a zero window, which gives its error e;
+      the forcing enters each block through the lower-triangular Toeplitz
+      matrix of g. buf[n:] - e is the result.
+
+    One (blocks, _BLOCK) work array holds each pass in turn; the passes
+    over the series take _BLOCK of its rows at a time, so that their
+    temporaries stay small next to it.
+    """
+    n, size = coeffs.size, dynsys._BLOCK
+    steps = buf.size - n
+    a = coeffs.astype(np.longdouble)
+    # [I; Φ]: row n + k holds step k of the loop from each unit window
+    units = np.zeros((n + size, n), np.longdouble)
+    units[:n] = np.eye(n)
+    dot = (-a).dot
+    for k in range(size):
+        dot(units[k:k + n], out=units[n + k])
+    g = units[n - 1:-1, -1].astype(float)
+    lag = np.subtract.outer(np.arange(size), np.arange(size))
+    toeplitz = np.where(lag >= 0, g[lag], 0.0)
+    work = np.empty((-(-steps // size), size))
+    flat = work.reshape(-1)
+    work[:] = np.cumsum(g) * offset
+    _forced(units, work, buf[:n])
+    buf[n:] = flat[:steps]
+    flat[steps:] = 0.0
+    for rows, y in zip(np.split(work, range(size, len(work), size)), _windows(buf, n)):
+        rows.reshape(-1)[:y.size - n] = _defects(y.astype(np.longdouble), 0, n, a, offset)
+        rows[:] = rows @ toeplitz.T
+    _forced(units, work, np.zeros(n))
+    buf[n:] -= flat[:steps]
+    return _accepted(coeffs, offset, buf)
+
+
+def _windows(buf, n):
+    """buf[n:] in parts of _BLOCK blocks, each with the n values before it."""
+    part = dynsys._BLOCK ** 2
+    return (buf[j:j + part + n] for j in range(0, buf.size - n, part))
+
+
+def _forced(units, work, head) -> None:
+    """Overwrite ``work``, row b the forced response of block b, with the
+    recurrence's blocks after the window ``head``: block b is Φ times the n
+    values before it plus that forced response, for [I; Φ] = ``units``.
+
+    Only the windows between blocks are sequential, one long-double matvec
+    each: the window after a block is C^_BLOCK (the last n rows of [I; Φ])
+    times the one before it, plus the forced response's last n values.
+    Their rounding is then too small to grow along the chain. One float64
+    matrix product per _BLOCK rows adds Φ times each block's window.
+    """
+    n, size = units.shape[1], work.shape[1]
+    k = min(n, size)
+    # row b: the window before block b, then block b's forced response at its end
+    z = np.zeros((work.shape[0] + 1, 2 * n), units.dtype)
+    z[0, :n] = head
+    z[:-1, 2 * n - k:] = work[:, -k:]
+    dot = np.hstack((units[-n:], units[:n])).dot
+    for row, after in zip(z, z[1:, :n]):
+        dot(row, out=after)
+    windows, phi = z[:-1, :n].astype(float), units[n:].astype(float)
+    for b in range(0, work.shape[0], size):
+        work[b:b + size] += windows[b:b + size] @ phi.T
+
+
+def _accepted(coeffs, offset, buf) -> bool:
+    """Whether every step of buf[n:] has a long-double defect within the
+    loop's own rounding bound (n+1) u (|offset| + |coeffs| · |w|), u = 2^-53.
+    A non-finite value fails: the first one has a finite window, so its
+    defect is inf or NaN."""
+    n = coeffs.size
+    a, u = coeffs.astype(np.longdouble), (n + 1) * np.finfo(float).epsneg
+    for y in _windows(buf, n):
+        defect = np.abs(_defects(y.astype(np.longdouble), 0, n, a, offset))
+        bound = _hankel(np.abs(y), 0, n, y.size - n) @ (u * np.abs(coeffs)) + u * abs(offset)
+        if not np.all(defect <= bound):
+            return False
+    return True
 
 
 def estimate_order(series: TimeSeries, n_max: int) -> int:

@@ -2,15 +2,17 @@
 
 The reference functions below are the loops that identification, the
 residual check, prediction, simulation and the series writer ran one sample
-at a time. The vectorised paths of identification, prediction and the
-writer do the same arithmetic in the same order, so on a long series each of
-their results must be bitwise equal to its loop. Simulation is the one path
-that does not repeat its loop's arithmetic: past the first blocks it maps
-each block of states through an extended-precision power of A. It is held
-to an exact reference instead: its error must be at most twice the loop's,
-on rotation systems and on their non-normal companion matrices alike.
-Where that power cannot be used, or its blocks would cancel, it must equal
-the loop bit for bit.
+at a time. The vectorised paths of identification and the writer do the
+same arithmetic in the same order, so on a long series each of their
+results must be bitwise equal to its loop. Simulation and prediction do not
+repeat their loops' arithmetic. Past the first blocks, simulation maps each
+block of states through an extended-precision power of A; past LOOP_STEPS,
+prediction runs in blocks of steps with one long-double residual
+correction. Both are held to an exact reference instead: simulation's error
+must be at most twice the loop's, on rotation systems and on their
+non-normal companion matrices alike, and prediction's at most the loop's.
+Where their blocks cannot be used, would cancel, or fail prediction's
+acceptance test, each must equal its loop bit for bit.
 """
 
 import math
@@ -19,8 +21,17 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from linident import InsufficientData, ParseError, TimeSeries, identify, identify_affine, io, predict
-from linident import dynsys
+from linident import (
+    InsufficientData,
+    NonFinite,
+    ParseError,
+    TimeSeries,
+    identify,
+    identify_affine,
+    io,
+    predict,
+)
+from linident import dynsys, ident
 from linident.cli import _emit_series
 from linident.dynsys import _iterate
 from linident.ident import PredictionModel, _hankel, _solve_windows, _window_residual
@@ -161,20 +172,123 @@ class TestIdentification:
                              reference_residual(series.values, K, n, coeffs, offset))
 
 
-@pytest.mark.parametrize("n", NS)
-@pytest.mark.parametrize("offset", [None, OFFSET])
-def test_predict(series, n, offset):
+def unit_circle_model(n, offset):
+    """A model whose roots lie on the unit circle, so that long predictions
+    stay bounded."""
     rng = np.random.default_rng(n)
-    # roots on the unit circle keep LENGTH steps bounded
     angles = rng.uniform(0.1, 3.0, n // 2)
     roots = np.concatenate((np.exp(1j * angles), np.exp(-1j * angles), [-1.0] * (n % 2)))
-    model = PredictionModel(np.poly(roots)[::-1][:-1].real, offset=offset, step=STEP)
+    return PredictionModel(np.poly(roots)[::-1][:-1].real, offset=offset, step=STEP)
+
+
+def decimal_predict(model, seed, steps):
+    """``reference_predict`` in 40-digit decimal arithmetic on the same
+    float64 inputs: the exact continuation, up to about 1e-40 relative."""
+    with localcontext(prec=40):
+        coeffs = [Decimal(float(v)) for v in model.coeffs]
+        window = [Decimal(float(v)) for v in seed]
+        offset = Decimal(0.0 if model.offset is None else model.offset)
+        out = []
+        for _ in range(steps):
+            window = window[1:] + [offset - sum(a * w for a, w in zip(coeffs, window))]
+            out.append(float(window[-1]))
+    return np.array(out)
+
+
+@pytest.fixture
+def block_results(monkeypatch):
+    """What each ``_predict_blocks`` call returned: True where its blocks
+    were kept."""
+    results = []
+    blocks = ident._predict_blocks
+
+    def spy(*args):
+        results.append(blocks(*args))
+        return results[-1]
+
+    monkeypatch.setattr(ident, "_predict_blocks", spy)
+    return results
+
+
+def loop_prediction(model, seed, steps):
+    return reference_predict(model.coeffs, 0.0 if model.offset is None else model.offset,
+                             seed, steps)
+
+
+@pytest.mark.parametrize("n", NS)
+@pytest.mark.parametrize("offset", [None, OFFSET])
+def test_predict(series, block_results, n, offset):
+    """Past LOOP_STEPS, the blocks are kept, and their error against the
+    exact continuation is at most the loop's. On these models it is that of
+    rounding the exact values (the loop's: 3e-15 to 5e-13)."""
+    model = unit_circle_model(n, offset)
     seed = series.values[-n:]
-    got = predict(model, seed, LENGTH)
+    got = predict(model, seed, EXACT_LENGTH)
     assert got.step == STEP
-    want = reference_predict(model.coeffs, 0.0 if offset is None else offset, seed, LENGTH)
+    assert block_results == [True]
+    exact = decimal_predict(model, seed, EXACT_LENGTH)
+    error = relative_error(got.values, exact)
+    assert error <= relative_error(loop_prediction(model, seed, EXACT_LENGTH), exact)
+    assert error <= 2 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n", NS)
+@pytest.mark.parametrize("offset", [None, OFFSET])
+def test_short_predictions_are_the_loop(series, block_results, n, offset):
+    model = unit_circle_model(n, offset)
+    seed = series.values[-n:]
+    for steps in (1, 3, ident.LOOP_STEPS):
+        got = predict(model, seed, steps)
+        assert bitwise_equal(got.values, loop_prediction(model, seed, steps))
+    assert block_results == []
+
+
+@pytest.mark.parametrize("n", NS)
+def test_acceptance_bound_is_the_loops_rounding(series, n):
+    """The loop's own steps pass; a step moved by three times its bound fails."""
+    model = unit_circle_model(n, OFFSET)
+    seed = series.values[-n:]
+    buf = np.concatenate((seed, loop_prediction(model, seed, LENGTH)))
+    assert ident._accepted(model.coeffs, OFFSET, buf)
+    j = n + LENGTH // 2
+    buf[j] += 3 * (n + 1) * 2.0**-53 * (OFFSET + np.abs(model.coeffs) @ np.abs(buf[j - n:j]))
+    assert not ident._accepted(model.coeffs, OFFSET, buf)
+
+
+def test_clustered_slow_rotations_run_the_loop(block_results):
+    """The companion of three slow rotations at nearly the same angle: one
+    correction cannot repair its blocks, so the loop runs from the start."""
+    rng = np.random.default_rng(18)
+    angles = rng.uniform(0.01, 0.05, 3)
+    roots = np.concatenate((np.exp(1j * angles), np.exp(-1j * angles)))
+    model = PredictionModel(np.poly(roots)[::-1][:-1].real)
+    seed = rng.uniform(-1, 1, 6)
+    got = predict(model, seed, LENGTH)
+    assert block_results == [False]
+    want = loop_prediction(model, seed, LENGTH)
     assert np.isfinite(want).all()
     assert bitwise_equal(got.values, want)
+
+
+def test_without_extended_precision_predict_is_the_loop(monkeypatch, series, block_results):
+    monkeypatch.setattr(dynsys, "_EXTENDED", False)
+    model = unit_circle_model(8, OFFSET)
+    seed = series.values[-8:]
+    got = predict(model, seed, LENGTH)
+    assert block_results == []
+    assert bitwise_equal(got.values, loop_prediction(model, seed, LENGTH))
+
+
+def test_diverging_prediction_names_the_loops_step(block_results):
+    """y_i = 1.5^i overflows within the blocks too; the loop runs from the
+    start, so NonFinite names its first non-finite step."""
+    model = PredictionModel([-1.5])
+    with np.errstate(over="ignore"):
+        first = int(np.argmin(np.isfinite(loop_prediction(model, [1.0], 3000)))) + 1
+    assert 1700 < first < 1800  # 1.5^1751 > 1.8e308
+    with pytest.raises(NonFinite, match=f"^prediction diverges: step {first} of 3000 is not finite$"):
+        predict(model, [1.0], 3000)
+    assert block_results == [False]
 
 
 def decimal_iterate(a, b, c, x, length):
