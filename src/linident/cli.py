@@ -150,8 +150,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         args.run(args)
-    except (ValueError, ParseError, EmptySeries) as exc:
-        # every ValueError a command raises is an option or value out of range
+    except (ValueError, ParseError, EmptySeries, MemoryError) as exc:
+        # every ValueError a command raises is an option or value out of range,
+        # and every MemoryError a request (--len, --steps, --n) too large to hold
         name = type(exc).__name__ if isinstance(exc, LinIdentError) else "UsageError"
         print(f"{name}: {exc}", file=sys.stderr)
         print(f"usage: linident {args.command} --help for details", file=sys.stderr)

@@ -6,6 +6,7 @@ only) or a sampling step (continuous time only). All outputs are scalar.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,104 +119,122 @@ def _require_finite(values, what: str, item: str) -> None:
         raise NonFinite(f"{what} diverges: {item} {first} of {finite.size} is not finite")
 
 
-_BLOCK = 64  # states per block of a long series; a power of two
-# long double is wider than float64, and narrow enough for a float64 pair
-# hi + lo to hold it exactly: x87's 63 bits, not IEEE quad's 112
-_EXTENDED = 52 < np.finfo(np.longdouble).nmant < 106
-# largest max(|x| |P|) / max|x P| over the first block's states x at which
-# the blocks run. Each block rounds to about eps |x| |P|, so past it they
-# lose digits the loop keeps: companion matrices of slow rotations reach
-# 1e2 to 1e5; the rotation systems of the tests and of cli-long stay below 3.
+_BLOCK = 64  # outputs per block of a long series; a power of two
+# long double is wider than float64 (x87's 63 bits, IEEE quad's 112): the
+# chain of block states runs in it
+_EXTENDED = np.finfo(np.longdouble).nmant > 52
+# largest ratio of max |s| |M| to max |M s| (M: A^_BLOCK over the chain's
+# states s, or Φ over the requested outputs) at which a simulation keeps its
+# blocks. Each product rounds to about eps |s| |M|, so past it they lose
+# digits the loop keeps: companion matrices of the tests' rotation systems
+# reach 15 to 1e4 at n = 4 and 8; the rotation systems of the tests and of
+# cli-long stay below 3.
 _CANCELLATION = 8
 
 
 def _powers(a, x, length: int, b=None) -> np.ndarray:
-    """States x_0 = x, x_{i+1} = a x_i (+ b), i < length, stacked on axis -2;
-    leading axes of ``a`` and ``x`` broadcast. The one power engine: it serves
-    simulation, the rows c A^i, the columns A^i x0 and the affine offset.
-
-    The first _BLOCK states come from the loop. In a long series, each
-    later block is the block before it mapped through ``_block_map``; where
-    that map is not taken, the loop runs to the end."""
+    """States x_0 = x, x_{i+1} = a x_i (+ b), i < length, stacked on axis -2
+    in the dtype of ``a`` and ``x``; leading axes of ``a`` and ``x``
+    broadcast. The one power loop: it serves short simulations, the rows
+    c A^i (of Q and of a block operator), the columns A^i x0 and the affine
+    offset."""
     n = x.shape[-1]
-    states = np.empty(np.broadcast_shapes(a.shape[:-2], x.shape[:-1]) + (length, n))
+    shape = np.broadcast_shapes(a.shape[:-2], x.shape[:-1]) + (length, n)
+    states = np.empty(shape, np.result_type(a, x))
     states[..., 0, :] = x
-    head = min(length, _BLOCK)
-    _steps(a, b, x, states, 1, head)
-    block = _block_map(a, b, states[..., :head, :], length)
-    if block is None:
-        _steps(a, b, states[..., head - 1, :], states, head, length)
-        return states
-    p, q = block
-    rows = states[..., None, :, :]  # the hi and lo products go on the new axis
-    both = np.empty(states.shape[:-2] + (2, _BLOCK, n))
-    for j in range(_BLOCK, length, _BLOCK):
-        m = min(_BLOCK, length - j)
-        prod = np.matmul(rows[..., j - _BLOCK:j - _BLOCK + m, :], p, out=both[..., :m, :])
-        if q is not None:
-            prod += q
-        np.add(prod[..., 0, :, :], prod[..., 1, :, :], out=states[..., j:j + m, :])
-    return states
-
-
-def _steps(a, b, x, states, start: int, stop: int) -> None:
-    """The loop of ``_powers``: states start..stop-1, from x = state start-1."""
-    for i in range(start, stop):
+    for i in range(1, length):
         x = np.matvec(a, x, out=states[..., i, :])
         if b is not None:
             x += b
+    return states
 
 
-def _block_map(a, b, head, length: int):
-    """(P, q), the map x_{i+_BLOCK} = x_i P_hi + x_i P_lo (+ q_hi + q_lo) of
-    row states: P stacks (A^_BLOCK)ᵀ = P_hi + P_lo on axis -3, and q stacks
-    the drive's sum over _BLOCK steps in the same way (None without a drive).
-    The power of [[A, b], [0, 1]] is taken in long double by repeated
-    squaring and split into float64 hi and lo parts.
+def _chain(p, phi, out, s, tails=None) -> np.ndarray:
+    """Add Φ s_b to row b of ``out`` (axis -2: blocks; axis -1: the outputs
+    of a block), Φ = ``phi`` in float64, for the chain s_0 = ``s``,
+    s_{b+1} = P s_b (+ ``tails`` row b on its last entries), P = ``p``.
+    Returns s_0 ... s_B in long double; leading axes stack systems.
 
-    None, so that the loop runs on, when
-    - the series is too short: the map costs about n^3 / 32 loop steps (long
-      double has no BLAS), so it is taken only past two blocks and twice that;
-    - long double is not extended precision;
-    - hi + lo does not give back that power exactly: it overflows or is
-      subnormal in float64, or A is not finite;
-    - on the first block's states ``head``, |x| |P| (+ |q|) exceeds
-      _CANCELLATION times |x P (+ q)| for any stacked system."""
-    n = a.shape[-1]
-    if not _EXTENDED or length <= 2 * _BLOCK + n**3 // 16:
-        return None
-    if b is None:
-        m = a.astype(np.longdouble)
-    else:
-        m = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-1]) + (n + 1, n + 1), np.longdouble)
-        m[..., :n, :n], m[..., :n, n], m[..., n, n] = a, b, 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(_BLOCK.bit_length() - 1):
-            m = m @ m
-        hi = m.astype(float)
-        lo = (m - hi).astype(float)
-        if not np.array_equal(hi + lo.astype(np.longdouble), m):
-            return None
-        p = np.swapaxes(hi[..., :n, :n], -1, -2)
-        bound, near = np.abs(head) @ np.abs(p), head @ p
-        if b is not None:
-            bound += np.abs(hi[..., None, :n, n])
-            near += hi[..., None, :n, n]
-        if (bound.max(axis=(-2, -1)) > _CANCELLATION * np.abs(near).max(axis=(-2, -1))).any():
-            return None
-    pair = np.stack((hi, lo), axis=-3)
-    p = np.swapaxes(pair[..., :n, :n], -1, -2)
-    return p, None if b is None else pair[..., None, :n, n]
+    The one block kernel of long series. Only the chain is sequential, one
+    long-double matvec per block: the tail rides in the row, against the
+    columns [P | I], so the chain's rounding is too small to grow along the
+    series. One float64 matrix product per _BLOCK blocks then fills them.
+    """
+    m, blocks = p.shape[-1], out.shape[-2]
+    t = 0 if tails is None else tails.shape[-1]
+    z = np.zeros(np.broadcast_shapes(p.shape[:-2], s.shape[:-1]) + (blocks + 1, m + t),
+                 np.longdouble)
+    z[..., 0, :m] = s
+    if t:
+        z[..., :-1, m:] = tails
+    step = np.concatenate((p, np.broadcast_to(np.eye(m)[:, m - t:], p.shape[:-1] + (t,))), -1)
+    rows = np.moveaxis(z, -2, 0)
+    # ndarray.dot, the cheaper call, takes one system only
+    apply = step.dot if z.ndim == 2 else functools.partial(np.matvec, step)
+    for row, after in zip(rows, rows[1:, ..., :m]):
+        apply(row, out=after)
+    states, phi = z[..., :-1, :m].astype(float), np.swapaxes(phi, -1, -2)
+    for b in range(0, blocks, _BLOCK):
+        out[..., b:b + _BLOCK, :] += states[..., b:b + _BLOCK, :] @ phi
+    return z[..., :m]
 
 
 def _iterate(a, b, c, x, length: int) -> np.ndarray:
-    """Outputs c x_i of the ``_powers`` states; leading axes stack systems."""
+    """Outputs c x_i of x_{i+1} = A x_i (+ b), i < length; leading axes
+    stack systems. A long series takes ``_blocks``; a short one, or one
+    whose blocks give way, runs the ``_powers`` loop from the start."""
+    if _EXTENDED and length > 2 * _BLOCK + a.shape[-1] ** 3 // 16:
+        y = _blocks(a, b, c, x, length)
+        if y is not None:
+            return y
     states = _powers(a, x, length, b)
     y = np.vecdot(states, c[..., None, :])
     nan = np.isnan(y)
     if nan.any():  # 0 * inf: recompute without the entries c weights by 0
         s, w = states[nan], np.broadcast_to(c[..., None, :], states.shape)[nan]
         y[nan] = np.vecdot(np.where(w != 0, s, 0.0), w)
+    return y
+
+
+def _blocks(a, b, c, x, length: int):
+    """The outputs through ``_chain``: P = A^_BLOCK by repeated squaring and
+    row k of Φ = c A^k, both in long double. Series of up to two blocks and
+    n^3 / 16 more (order n) never come here: P costs about n^3 / 32 loop
+    steps, since long double has no BLAS.
+
+    None, so that the loop runs, when
+    - an entry of Φ overflows or is subnormal in float64;
+    - a requested output is NaN;
+    - for any stacked system, max |s_b| |P| over the chain exceeds
+      _CANCELLATION times max |P s_b|, or max |s_b| |Φ| over the requested
+      outputs exceeds _CANCELLATION times max |y|."""
+    n = a.shape[-1]
+    m = a.astype(np.longdouble)
+    if b is not None:  # an affine drive is one more state entry, fixed at 1
+        m = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-1]) + (n + 1, n + 1), np.longdouble)
+        m[..., :n, :n], m[..., :n, n], m[..., n, n] = a, b, 1
+        c = np.append(c, np.zeros(c.shape[:-1] + (1,)), axis=-1)
+        x = np.append(x, np.ones(x.shape[:-1] + (1,)), axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = _powers(np.swapaxes(m, -1, -2), c.astype(np.longdouble), _BLOCK)
+        mag = np.abs(phi)
+        if not np.all((mag == 0) | (mag >= np.finfo(float).tiny) & (mag <= np.finfo(float).max)):
+            return None
+        phi, p = phi.astype(float), m
+        for _ in range(_BLOCK.bit_length() - 1):
+            p = p @ p
+        out = np.zeros(np.broadcast_shapes(phi.shape[:-2], x.shape[:-1])
+                       + (-(-length // _BLOCK), _BLOCK))
+        s = _chain(p, phi, out, x)
+        y = out.reshape(out.shape[:-2] + (-1,))[..., :length]
+        if np.isnan(y).any():
+            return None
+        chain = np.abs(s[..., :-1, :]) @ np.abs(np.swapaxes(p, -1, -2))
+        fill = np.abs(s[..., :-1, :].astype(float)) @ np.abs(np.swapaxes(phi, -1, -2))
+        fill = fill.reshape(y.shape[:-1] + (-1,))[..., :length]
+        if ((chain.max(axis=(-2, -1)) > _CANCELLATION * np.abs(s[..., 1:, :]).max(axis=(-2, -1)))
+                | (fill.max(axis=-1) > _CANCELLATION * np.abs(y).max(axis=-1))).any():
+            return None
     return y
 
 

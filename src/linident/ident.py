@@ -313,13 +313,16 @@ def _predict_blocks(coeffs, offset, buf) -> bool:
     work = np.empty((-(-steps // size), size))
     flat = work.reshape(-1)
     work[:] = np.cumsum(g) * offset
-    _forced(units, work, buf[:n])
+    # the window after a block is C^_BLOCK (the last n rows of [I; Φ]) times
+    # the one before it, plus the block's forced response at its end
+    p, phi, tail = units[-n:], units[n:].astype(float), work[:, -min(n, size):]
+    dynsys._chain(p, phi, work, buf[:n], tail)
     buf[n:] = flat[:steps]
     flat[steps:] = 0.0
     for rows, y in zip(np.split(work, range(size, len(work), size)), _windows(buf, n)):
         rows.reshape(-1)[:y.size - n] = _defects(y.astype(np.longdouble), 0, n, a, offset)
         rows[:] = rows @ toeplitz.T
-    _forced(units, work, np.zeros(n))
+    dynsys._chain(p, phi, work, np.zeros(n), tail)
     buf[n:] -= flat[:steps]
     return _accepted(coeffs, offset, buf)
 
@@ -328,31 +331,6 @@ def _windows(buf, n):
     """buf[n:] in parts of _BLOCK blocks, each with the n values before it."""
     part = dynsys._BLOCK ** 2
     return (buf[j:j + part + n] for j in range(0, buf.size - n, part))
-
-
-def _forced(units, work, head) -> None:
-    """Overwrite ``work``, row b the forced response of block b, with the
-    recurrence's blocks after the window ``head``: block b is Φ times the n
-    values before it plus that forced response, for [I; Φ] = ``units``.
-
-    Only the windows between blocks are sequential, one long-double matvec
-    each: the window after a block is C^_BLOCK (the last n rows of [I; Φ])
-    times the one before it, plus the forced response's last n values.
-    Their rounding is then too small to grow along the chain. One float64
-    matrix product per _BLOCK rows adds Φ times each block's window.
-    """
-    n, size = units.shape[1], work.shape[1]
-    k = min(n, size)
-    # row b: the window before block b, then block b's forced response at its end
-    z = np.zeros((work.shape[0] + 1, 2 * n), units.dtype)
-    z[0, :n] = head
-    z[:-1, 2 * n - k:] = work[:, -k:]
-    dot = np.hstack((units[-n:], units[:n])).dot
-    for row, after in zip(z, z[1:, :n]):
-        dot(row, out=after)
-    windows, phi = z[:-1, :n].astype(float), units[n:].astype(float)
-    for b in range(0, work.shape[0], size):
-        work[b:b + size] += windows[b:b + size] @ phi.T
 
 
 def _accepted(coeffs, offset, buf) -> bool:

@@ -224,46 +224,46 @@ class TestIdentifyForms:
     # digest under OpenBLAS's SkylakeX kernel, then under its Haswell kernel
     # (Zen gives the Haswell bits); another kernel or LAPACK build may round
     # differently.
-    # The 200-sample series passes the first block of 64 states, so its bits
-    # depend on dynsys._EXTENDED: True, the blocks through an x87 long-double
-    # A^64 run; False, the loop runs to the end. Where long double is
-    # extended, both are checked.
+    # The 200-sample series is long enough for blocks, so its bits depend on
+    # dynsys._EXTENDED: True, the blocks of an x87 long-double chain run;
+    # False, the loop runs to the end. Where long double is extended, both
+    # are checked.
     GOLDEN = {
         ("exact", 0): {
             False: {"6108b9219091aea21a7c4320909acd8afb79f21495ce8c276fc41727a746737e",
                     "0b4d7bd8d374a1eaaa90a47d015bdbc8fb64bdc3246d19d9e115ae2eddb0fb89"},
-            True: {"ed19432588427f40f9a554a92d7ce8c202f2f202affd980e1f31fcff0d79772d",
-                   "558bc91ce9ab1a62365f81288aa4480df9a6d6a67c9bc17fca446891cb83ecea"},
+            True: {"6906c26fec389b65a8895dffa4788e7bdeab0795d370a887ae0356be00a2c754",
+                   "5b8f63264cdddc0c95b6d3b99f2ffe332399e84dd37e69df3e097532ee1260fc"},
         },
         ("overdetermined", 0): {
             False: {"0267b32889a87ea82c7f8758039c52f5c1a5afab97ae8d5d3dff0009238e17c7",
                     "e9f56df02d3259be4a23478ebadee92eb54528f3aa6eaaa2dee5c64c0555c2cf"},
-            True: {"493075303f308eadcddd73c29f2e6ae6c66e83c60ce5eef3f5827ea0fbea6fb3",
-                   "298fa6b1c0134898d0a9473d7baedc4689c93c6666a571f35c14396b685aa329"},
+            True: {"82bf417b985e02e770ba430040d2eb5698aa8b13c9c797874fe0ca1b88a2e1c1",
+                   "f63f9095237f4a36c9432e5d597efa21e62c439ef6bf948a47e0e392cc9b6cae"},
         },
         ("affine", 0): {
             False: {"802234709e36c6d923d9600e0456709dbd7518e0dae8a33d03b24b2a06f4a413",
                     "098f8d5f176d07a1d1214b2276058f9e15d196fcd7f49911ab88c9f3ae12541e"},
-            True: {"2bfc765325a6caf9a89fcd67c670caea79fb924c7ae5a2d8e8699b13728e8a64",
-                   "79baa5af1fdb0e08504a77606a0090fdd7bcd29789e5089e7dd2cb9620eac858"},
+            True: {"22705783de02e14e5ba1e77d193c156d14ac703111ab809f7ad3f95b5d98f0b5",
+                   "fac41615c06d7253e644ac0e173d795f7685124a7c9b0e54b500e1d6efc3874f"},
         },
         ("exact", 2): {
             False: {"c858b93b306f984ee915e89ffc6a8eb80c4564eedd9d7fb4853c62f75c928727",
                     "a46d517619cc6c2ff437969faf776321d0c380c88b6ee60c4049e23c33ca2c2b"},
-            True: {"460b6b0686d5de65012831abedc2f730770d3e6a6a310538c8a545f72cf381a6",
-                   "e6c0a3edcf50999a1320685d6fc1d034cc1c15e6dbc71b5f5f29415542958d0c"},
+            True: {"c1705dca1b7f4ed2bcfc9a2d91266563cdabaa06b5b0966940b819c30aa28637",
+                   "2ca9a05a9484bdc126a021a00f5d02a5dee08b9fc13119153d28b6f52f251c31"},
         },
         ("overdetermined", 2): {
             False: {"5aad0a698340c6a85bc1a78a64ba9d7165631fae70f58223042594f7731e4911",
                     "b290f80dd036201db7e20089af678914eaecbc6d5498d4d42dceb8aafab0b6d0"},
-            True: {"ad35fb87e99a66e763fea725bd6e9a5b5696e0ddab524e4c2db9b5beebf2cfbd",
-                   "17fe3b9901161f0b91f713c0b1f1fbc2b689225def23f53e01546d01f43e1665"},
+            True: {"57e3ee793fe40c5949d77b21caf55e2e816675f93a85bfc96e34d6426b12d0d9",
+                   "cad50d62daae6dbc741edbae03e15c7d7e965ed2a19ca6f8e411c26d57787aeb"},
         },
         ("affine", 2): {
             False: {"2e38e42a48efc575d9c1bbfc8057652a9faa45946e352d0f5da0cba665a4b16b",
                     "26799728b8da20e411112e4e215381f1fdc7039c191ede37a9c66d63d8887de4"},
-            True: {"a579d949593eb17b87f74f1ab622af9e4d1f6912e1919d3bb2d250f537c14274",
-                   "e9715ea15996afe2ece402d383c99f7559e7e4a7c6b8a5d9375f0ec449abc383"},
+            True: {"a2de46e92329477606934b14b31891e2baa726d3f875896c6cecad913470c8cf",
+                   "75980debe2eb795987db799f1c21ed3bc9df80462e580acb6228565f3b7085f6"},
         },
     }
 

@@ -5,14 +5,15 @@ residual check, prediction, simulation and the series writer ran one sample
 at a time. The vectorised paths of identification and the writer do the
 same arithmetic in the same order, so on a long series each of their
 results must be bitwise equal to its loop. Simulation and prediction do not
-repeat their loops' arithmetic. Past the first blocks, simulation maps each
-block of states through an extended-precision power of A; past LOOP_STEPS,
-prediction runs in blocks of steps with one long-double residual
-correction. Both are held to an exact reference instead: simulation's error
-must be at most twice the loop's, on rotation systems and on their
-non-normal companion matrices alike, and prediction's at most the loop's.
-Where their blocks cannot be used, would cancel, or fail prediction's
-acceptance test, each must equal its loop bit for bit.
+repeat their loops' arithmetic. Both run one block kernel, ``dynsys._chain``:
+a long-double chain of the states between blocks of 64 outputs, each block
+filled by one float64 product. Simulation chains A^64 from the start;
+prediction, past LOOP_STEPS, chains its windows and adds one long-double
+residual correction. Both are held to an exact reference instead:
+simulation's error must be at most twice the loop's, on rotation systems
+and on their non-normal companion matrices alike, and prediction's at most
+the loop's. Where their blocks cannot be used, would cancel, or fail
+prediction's acceptance test, each must equal its loop bit for bit.
 """
 
 import math
@@ -356,9 +357,37 @@ def test_iterate_companion(n, drive, stack):
     which at n = 8 they can only do by giving way to it."""
     a, b, c, x = iterate_case(n, drive, stack)
     a = companion(a)
-    if n == 8:  # max |x| |C^64| / max |x C^64| exceeds dynsys._CANCELLATION
+    if n == 8:  # both cancellation ratios of dynsys._blocks reach 1e3 to 1e4
         assert bitwise_equal(_iterate(a, b, c, x, LENGTH), reference_iterate(a, b, c, x, LENGTH))
     assert_loop_accuracy(a, b, c, x)
+
+
+@pytest.mark.parametrize("tails", [False, True], ids=["no-tails", "tails"])
+@pytest.mark.parametrize("stack", [(), (3,)], ids=["single", "stacked"])
+def test_chain(tails, stack):
+    """``_chain`` against a direct long-double recurrence s_{b+1} = P s_b
+    (+ tail b on the last entries): its states are within the long-double
+    rounding of the recurrence, far below a float64 chain's, and it adds
+    Φ s_b to block b."""
+    rng = np.random.default_rng(19)
+    m, t, blocks = 3, 2, 300
+    p = np.linalg.qr(rng.standard_normal(stack + (m, m)))[0].astype(np.longdouble)
+    phi = rng.uniform(-1, 1, stack + (dynsys._BLOCK, m))
+    s = rng.uniform(-1, 1, stack + (m,))
+    tail = rng.uniform(-0.01, 0.01, stack + (blocks, t)) if tails else None
+    out = rng.uniform(-1, 1, stack + (blocks, dynsys._BLOCK))
+    before = out.copy()
+    got = dynsys._chain(p, phi, out, s, tail)
+    want = np.empty(stack + (blocks + 1, m), np.longdouble)
+    want[..., 0, :] = s
+    for b in range(blocks):
+        want[..., b + 1, :] = np.matvec(p, want[..., b, :])
+        if tails:
+            want[..., b + 1, m - t:] += tail[..., b, :]
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= blocks * np.finfo(np.longdouble).eps
+    fill = want[..., :-1, :].astype(float) @ np.swapaxes(phi, -1, -2)
+    np.testing.assert_allclose(out - before, fill, rtol=0, atol=16 * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("n", NS)
@@ -372,14 +401,15 @@ def test_two_blocks_are_the_loop(n):
 
 
 @pytest.mark.parametrize("a, x, length", [
-    ([[1e5, 0.0], [0.0, 0.5]], [0.0, 1.0], 200),  # A^64 overflows float64
-    ([[1e-5, 0.0], [0.0, 0.5]], [1e300, 1.0], 200),  # A^64 is subnormal
+    ([[1e5, 0.0], [0.0, 0.5]], [0.0, 1.0], 200),  # c A^63 overflows float64
+    ([[1e-5, 0.0], [0.0, 0.5]], [1e300, 1.0], 200),  # c A^63 is subnormal
     # a scalar series of this kind stays finite only while it is too short for blocks
     ([[1e5]], [1e-300], 120),
     ([[1e-5]], [1e300], 100),
 ], ids=["overflow", "subnormal", "overflow-scalar", "subnormal-scalar"])
 def test_power_outside_float64_runs_the_loop(a, x, length):
-    """A finite series whose A^64 has no exact float64 hi + lo split is the loop's."""
+    """A finite series with an entry of Φ, a row c A^k (k < 64), outside
+    float64's normal range is the loop's."""
     a, x = np.array(a), np.array(x)
     c = np.ones_like(x)
     got = _iterate(a, None, c, x, length)
