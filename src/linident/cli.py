@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="system dimension")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--box", default="-1,1", help="sampling box as lo,hi")
-    p.add_argument("--seed", type=int, default=TrialConfig.seed, help="RNG seed (u64)")
+    p.add_argument("--seed", type=int, default=TrialConfig.seed, help="RNG seed (nonnegative integer)")
     p.add_argument("--tol", type=float, default=TrialConfig.success_tol, help="success tolerance")
     p.add_argument("--cond-cap", type=float, default=TrialConfig.cond_cap,
                    help="condition cutoff for numerical rejection")

@@ -256,23 +256,13 @@ def krylov_matrix(a, x0) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(states, -1, -2))
 
 
-def _power_scaled(m, a, axis: int) -> np.ndarray:
-    """Q (axis -2) or K (axis -1) with its power k, row c A^k or column
-    A^k x0, divided by 2^(k e) for e = ``_binary_exponent(A)``: the matrix
-    of A / 2^e, exact barring underflow, whose rank does not see the |A|^k
-    growth of the powers. Leading axes stack systems."""
-    shift = np.arange(m.shape[-1]) * _binary_exponent(a)[..., None]
-    if not np.count_nonzero(shift):  # e = 0, as for most draws from (-1, 1): ldexp is slow
-        return m
-    return np.ldexp(m, -(shift[..., :, None] if axis == -2 else shift[..., None, :]))
-
-
 def _observability(a, c) -> tuple[np.ndarray, int]:
-    """The observability matrix Q, checked for overflow, and its rank,
-    taken on the ``_power_scaled`` Q."""
+    """Q, checked for overflow, and its rank, taken on Q with row k, c A^k,
+    divided by 2^(k e), e = ``_binary_exponent(A)``: the exact Q of A / 2^e
+    (barring underflow), blind to the |A|^k growth of the powers."""
     with np.errstate(over="ignore", invalid="ignore"):
         q = observability_matrix(a, c)
-        scaled = _power_scaled(q, a, -2)
+        scaled = np.ldexp(q, -np.arange(q.shape[-1])[:, None] * _binary_exponent(a)[..., None, None])
     _require_finite(scaled, "observability matrix", "entry")
     return q, numerical_rank(scaled)
 

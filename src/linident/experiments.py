@@ -18,6 +18,11 @@ outcome it gets when evaluated alone (``evaluate_property`` is the block of
 one). Each property decides a block as one int code array indexing
 OUTCOMES; a trial's diagnostics dict is built only when it is reported.
 
+A draw is judged after division by its box's 2^e, 2^(e-1) < max(|lo|, |hi|)
+<= 2^e: exact, once per box, before any product can overflow or underflow.
+A keeps its scale for end-to-end-continuous, whose step acts on it. So the
+success rule rel <= success_tol * max(1, |truth|) applies to A / 2^e.
+
 Floating-point pathology (ill conditioning, overflow, pipeline errors) is
 counted as ``numerical_rejection``, a third outcome kept separate from
 mathematical failure: the underlying claims are exact-arithmetic statements
@@ -32,10 +37,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DimensionMismatch
-from .dynsys import _iterate, _power_scaled, krylov_matrix, observability_matrix
+from .dynsys import _iterate, krylov_matrix, observability_matrix
 from .ident import SINGULAR_CONDITION_CAP, _cap_exceeded, _hankel, _solve_windows
-from .numkit import (_as_vector, _binary_exponent, _positive, char_poly, discriminant, mat_exp,
-                     numerical_rank)
+from .numkit import _as_vector, _positive, char_poly, discriminant, mat_exp, numerical_rank
 
 SUCCESS = "success"
 FAILURE = "failure"
@@ -85,7 +89,8 @@ class SamplingBox:
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Dimension, trial count, seed and thresholds for one experiment."""
+    """Dimension, trial count, seed and thresholds for one experiment; draws
+    are judged divided by the box's 2^e, so ``success_tol`` applies to A / 2^e."""
 
     n: int
     trials: int
@@ -167,7 +172,7 @@ def _draw_block(config: TrialConfig, start: int, count: int):
 
 
 def evaluate_property(prop: str, c, a, x0, config: TrialConfig):
-    """(outcome, diagnostics) for one draw; never raises on pipeline errors."""
+    """(outcome, diagnostics) of one draw over the box's 2^e; never raises on pipeline errors."""
     codes, diagnostics = _evaluate(prop, *(np.asarray(v, dtype=float)[None] for v in (c, a, x0)),
                                    config)
     return OUTCOMES[codes[0]], diagnostics(0)
@@ -190,14 +195,19 @@ def _evaluate(prop: str, c, a, x0, config: TrialConfig):
     if a.shape[1:] != (n, n) or c.shape != (len(a), n) or x0.shape != c.shape:
         raise DimensionMismatch(f"draws of shapes {c.shape}, {a.shape}, {x0.shape} "
                                 f"for n={n}")
+    # the box's 2^e, 2^(e-1) < max(|lo|, |hi|) <= 2^e; e = 0 for (-1, 1)
+    mantissa, e = math.frexp(max(abs(config.box.lo), abs(config.box.hi)))
+    e -= mantissa == 0.5
+    if e:
+        c, x0 = np.ldexp(c, -e), np.ldexp(x0, -e)
+        a = a if prop == "end-to-end-continuous" else np.ldexp(a, -e)
     with np.errstate(over="ignore", invalid="ignore"):
         if prop == "distinct-eigenvalues":
             return _distinct_eigenvalues(a, n)
         if prop == "observable":
-            return _full_rank(_power_scaled(observability_matrix(a, c), a, -2),
-                              "observability matrix")
+            return _full_rank(observability_matrix(a, c), "observability matrix")
         if prop == "krylov-independent":
-            return _full_rank(_power_scaled(krylov_matrix(a, x0), a, -1), "Krylov matrix")
+            return _full_rank(krylov_matrix(a, x0), "Krylov matrix")
         return _end_to_end(prop, c, a, x0, config)
 
 
@@ -206,9 +216,7 @@ def _non_finite(what: str) -> dict:
 
 
 def _distinct_eigenvalues(a, n: int):
-    # a_i / 2^(e (n - i)): the exact coefficients of A / 2^e, whose
-    # discriminant and floor do not depend on the box width
-    coeffs = np.ldexp(char_poly(a), -_binary_exponent(a)[:, None] * np.arange(n, 0, -1))
+    coeffs = char_poly(a)
     scale = np.maximum(1.0, np.abs(coeffs).max(axis=-1)) ** (2 * n - 2)
     finite = np.isfinite(coeffs).all(axis=-1) & np.isfinite(scale)
     d = np.ones(len(a))

@@ -433,11 +433,14 @@ class TestMonteCarloCommand:
         assert err.splitlines()[0] == f"UsageError: {message}"
         assert "Traceback" not in err
 
-    def test_overflowing_box_rejects_every_trial(self, capsys):
-        code, out, _ = run(capsys, "montecarlo", "--property", "observable",
-                           "--n", "3", "--trials", "20", "--box=-1e200,1e200")
-        assert code == 0
-        assert '"numerical_rejections": 20' in out
+    def test_extreme_boxes_decide_every_trial(self, capsys):
+        # each draw is judged divided by its box's 2^e, so products of
+        # entries near 1e200 or 1e-320 neither overflow nor underflow
+        for box in ("--box=-1e200,1e200", "--box=0,1e-320"):
+            code, out, _ = run(capsys, "montecarlo", "--property", "observable",
+                               "--n", "3", "--trials", "20", box)
+            assert code == 0
+            assert '"failures": 0,' in out and '"numerical_rejections": 0,' in out, box
 
     def test_undecided_run_reports_null_estimate(self, capsys):
         code, out, _ = run(capsys, "montecarlo", "--property", "end-to-end-continuous",

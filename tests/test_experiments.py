@@ -206,3 +206,35 @@ class TestMcEstimate:
         unit = counts(1.0)
         for width in (2.0 ** -10, 2.0 ** 10, 2.0 ** 40):
             assert counts(width) == unit, width
+
+    @pytest.mark.parametrize("prop", ["distinct-eigenvalues", "observable", "krylov-independent",
+                                      "end-to-end-identifiable"])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_reports_do_not_depend_on_a_power_of_two_box(self, prop, n):
+        # each draw is judged divided by its box's 2^k, where products of
+        # 2^k-sized entries would underflow or overflow; a tight tolerance
+        # gives end-to-end worst cases to compare
+        def report(k):
+            return mc_estimate(prop, config(n=n, trials=300, seed=7, success_tol=1e-14,
+                                            box=SamplingBox(-2.0 ** k, 2.0 ** k)))
+
+        def outcome(case):
+            return case["trial_index"], case["diagnostics"]
+
+        unit = report(0)
+        for k in (-600, -10, 10, 600):
+            got = report(k)
+            assert ((got.successes, got.failures, got.numerical_rejections)
+                    == (unit.successes, unit.failures, unit.numerical_rejections)), k
+            assert [outcome(w) for w in got.worst_cases] == [
+                outcome(w) for w in unit.worst_cases], k
+            for w, u in zip(got.worst_cases, unit.worst_cases):
+                for name in ("c", "A", "x0"):
+                    assert np.array_equal(w[name], np.ldexp(u[name], k)), (k, name)
+
+    def test_continuous_draws_keep_the_scale_of_a(self):
+        # the sampling step acts on A, so exp(0.01 A) of a +-1e200 box overflows
+        cfg = config(trials=20, box=SamplingBox(-1e200, 1e200))
+        assert mc_estimate("end-to-end-continuous", cfg).numerical_rejections == 20
+        outcome, diag = evaluate_property("end-to-end-continuous", *draw_sample(cfg, 0), cfg)
+        assert (outcome, diag["error"]) == (NUMERICAL_REJECTION, "NonFinite")
