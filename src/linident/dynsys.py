@@ -1,12 +1,12 @@
 """Hidden-system model: trajectory simulation and observability machinery.
 
 A system is an (A, c) pair with an optional affine drive b (discrete time
-only) or a sampling step (continuous time only). All outputs are scalar.
+only) or a sampling step (continuous time only). All outputs are scalar. A
+long series runs in double-double blocks whose bytes no BLAS kernel moves.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +17,7 @@ from .numkit import (
     _as_square,
     _as_vector,
     _binary_exponent,
+    _dd_matmul,
     _positive,
     char_poly,
     mat_exp,
@@ -120,27 +121,27 @@ def _require_finite(values, what: str, item: str) -> None:
 
 
 _BLOCK = 64  # outputs per block of a long series; a power of two
-# long double is wider than float64 (x87's 63 bits, IEEE quad's 112): the
-# chain of block states runs in it
-_EXTENDED = np.finfo(np.longdouble).nmant > 52
-# largest ratio of max |s| |M| to max |M s| (M: A^_BLOCK over the chain's
-# states s, or Φ over the requested outputs) at which a simulation keeps its
-# blocks. Each product rounds to about eps |s| |M|, so past it they lose
-# digits the loop keeps: companion matrices of the tests' rotation systems
-# reach 15 to 1e4 at n = 4 and 8; the rotation systems of the tests and of
-# cli-long stay below 3.
-_CANCELLATION = 8
+_FILL = 256  # blocks per fill product: its temporaries are (64, 256)
+# largest max |u| |v| / max |u v| of a block product u v of one system: it
+# errs by about 2^-106 |u| |v|, so past this it might lose the loop's bits
+_CANCELLATION = 2.0**26
+
+
+def _loop_length(m: int) -> int:
+    """Longest series, states of order m, that the loop runs: past it the
+    blocks' fixed cost (1.5 ms at m <= 4, 14 ms at 32, 0.15 s at 64) is at
+    most a few ms above the loop's (0.8 to 1.5 us a step)."""
+    return 1024 + m**3 // 4
 
 
 def _powers(a, x, length: int, b=None) -> np.ndarray:
-    """States x_0 = x, x_{i+1} = a x_i (+ b), i < length, stacked on axis -2
-    in the dtype of ``a`` and ``x``; leading axes of ``a`` and ``x``
-    broadcast. The one power loop: it serves short simulations, the rows
-    c A^i (of Q and of a block operator), the columns A^i x0 and the affine
-    offset."""
+    """States x_0 = x, x_{i+1} = a x_i (+ b), i < length, stacked on axis -2;
+    leading axes of ``a`` and ``x`` broadcast. The one power loop: it serves
+    short simulations, the rows c A^i of Q, the columns A^i x0 and the
+    affine offset."""
     n = x.shape[-1]
     shape = np.broadcast_shapes(a.shape[:-2], x.shape[:-1]) + (length, n)
-    states = np.empty(shape, np.result_type(a, x))
+    states = np.empty(shape)
     states[..., 0, :] = x
     for i in range(1, length):
         x = np.matvec(a, x, out=states[..., i, :])
@@ -149,93 +150,101 @@ def _powers(a, x, length: int, b=None) -> np.ndarray:
     return states
 
 
-def _chain(p, phi, out, s, tails=None) -> np.ndarray:
-    """Add Φ s_b to row b of ``out`` (axis -2: blocks; axis -1: the outputs
-    of a block), Φ = ``phi`` in float64, for the chain s_0 = ``s``,
-    s_{b+1} = P s_b (+ ``tails`` row b on its last entries), P = ``p``.
-    Returns s_0 ... s_B in long double; leading axes stack systems.
+def _dd(v) -> np.ndarray:
+    """The double-double array (v, 0): axis 0 holds (hi, lo)."""
+    return np.stack((v, np.zeros_like(v)))
 
-    The one block kernel of long series. Only the chain is sequential, one
-    long-double matvec per block: the tail rides in the row, against the
-    columns [P | I], so the chain's rounding is too small to grow along the
-    series. One float64 matrix product per _BLOCK blocks then fills them.
-    """
-    m, blocks = p.shape[-1], out.shape[-2]
-    t = 0 if tails is None else tails.shape[-1]
-    z = np.zeros(np.broadcast_shapes(p.shape[:-2], s.shape[:-1]) + (blocks + 1, m + t),
-                 np.longdouble)
-    z[..., 0, :m] = s
-    if t:
-        z[..., :-1, m:] = tails
-    step = np.concatenate((p, np.broadcast_to(np.eye(m)[:, m - t:], p.shape[:-1] + (t,))), -1)
-    rows = np.moveaxis(z, -2, 0)
-    # ndarray.dot, the cheaper call, takes one system only
-    apply = step.dot if z.ndim == 2 else functools.partial(np.matvec, step)
-    for row, after in zip(rows, rows[1:, ..., :m]):
-        apply(row, out=after)
-    states, phi = z[..., :-1, :m].astype(float), np.swapaxes(phi, -1, -2)
-    for b in range(0, blocks, _BLOCK):
-        out[..., b:b + _BLOCK, :] += states[..., b:b + _BLOCK, :] @ phi
-    return z[..., :m]
+
+def _kept(hi, mag) -> np.ndarray:
+    """Per stacked system: max ``mag`` is finite, <= _CANCELLATION max |hi|."""
+    top = mag.max(axis=(-2, -1))
+    return np.isfinite(top) & (top <= _CANCELLATION * np.abs(hi).max(axis=(-2, -1)))
+
+
+def _doubling(rows, q, count: int, kept, square_last: bool):
+    """(r_0 ... r_{count-1}, Q^(2^i), kept), r_{j + 2^i} = r_j Q^(2^i): round
+    i is one product [r_0; ...; r_{2^i - 1}; Q^(2^i)] Q^(2^i), whose last
+    rows square Q^(2^i) (in the last round only if ``square_last``); each
+    part's ``_kept`` is anded into ``kept``, and no round runs once no
+    system is kept."""
+    while (have := rows.shape[-2]) < count and kept.any():
+        new = min(have, count - have)
+        top = rows[..., :new, :]
+        if square_last or have + new < count:
+            top = np.concatenate((top, q), axis=-2)
+        hi, lo, mag = _dd_matmul(top, q)
+        for part in (slice(new), slice(new, None))[:1 + (new < hi.shape[-2])]:
+            kept = kept & _kept(hi[..., part, :], mag[..., part, :])
+        out = np.stack((hi, lo))
+        rows, q = np.concatenate((rows, out[..., :new, :]), axis=-2), out[..., new:, :]
+    return rows, q, kept
+
+
+def _chain(p, phi, s, length: int, kept):
+    """(y, kept): ``length`` outputs y_{64b + k} = Φ_k s_b, s_b = P^b s, for
+    double-double P = A^_BLOCK (2, ..., m, m) and Φ_k = c A^k (2, ..., 64,
+    m); equal leading axes stack systems; y is None once none is kept. The
+    states come by doubling (Q = P^T): 11 products, not 1 562 steps, for 1e5
+    outputs. Φ s_b is correctly rounded but for cancellation."""
+    blocks = -(-length // _BLOCK)
+    y = np.empty(s.shape[:-1] + (length,))  # first: an oversized request fails here
+    states, _, kept = _doubling(_dd(s[..., None, :]), np.swapaxes(p, -1, -2), blocks, kept, False)
+    if not kept.any():
+        return None, kept
+    for b in range(0, blocks, _FILL):
+        part = y[..., b * _BLOCK:(b + _FILL) * _BLOCK]
+        rows = states[..., b:b + _FILL, :]
+        # s_b / 2^e_b, max |s_b| in [2^(e_b - 1), 2^e_b), as columns: no product
+        # overflows unless its output does; outer products run in unit strides
+        e = np.frexp(np.abs(rows[0]).max(axis=-1))[1][..., None, :]
+        hi, _, mag = _dd_matmul(phi, np.ldexp(np.swapaxes(rows, -1, -2), -e[None]).copy())
+        hi, mag, y_b = (np.swapaxes(v, -1, -2).reshape(v.shape[:-2] + (1, -1))[..., :part.shape[-1]]
+                        for v in (hi, mag, np.ldexp(hi, e)))
+        kept = kept & _kept(hi, mag)
+        part[...] = y_b[..., 0, :]
+    return y, kept
 
 
 def _iterate(a, b, c, x, length: int) -> np.ndarray:
     """Outputs c x_i of x_{i+1} = A x_i (+ b), i < length; leading axes
-    stack systems. A long series takes ``_blocks``; a short one, or one
-    whose blocks give way, runs the ``_powers`` loop from the start."""
-    if _EXTENDED and length > 2 * _BLOCK + a.shape[-1] ** 3 // 16:
-        y = _blocks(a, b, c, x, length)
-        if y is not None:
-            return y
+    stack systems. A long series takes ``_blocks``; a short one, or a
+    system whose blocks give way, the ``_powers`` loop from the start."""
+    kept = None
+    if length > _loop_length(a.shape[-1] + (b is not None)):
+        blocks, kept = _blocks(a, b, c, x, length)
+        if kept.all():
+            return blocks
     states = _powers(a, x, length, b)
     y = np.vecdot(states, c[..., None, :])
     nan = np.isnan(y)
     if nan.any():  # 0 * inf: recompute without the entries c weights by 0
         s, w = states[nan], np.broadcast_to(c[..., None, :], states.shape)[nan]
         y[nan] = np.vecdot(np.where(w != 0, s, 0.0), w)
-    return y
+    return y if kept is None or not kept.any() else np.where(kept[..., None], blocks, y)
 
 
 def _blocks(a, b, c, x, length: int):
-    """The outputs through ``_chain``: P = A^_BLOCK by repeated squaring and
-    row k of Φ = c A^k, both in long double. Series of up to two blocks and
-    n^3 / 16 more (order n) never come here: P costs about n^3 / 32 loop
-    steps, since long double has no BLAS.
-
-    None, so that the loop runs, when
-    - an entry of Φ overflows or is subnormal in float64;
-    - a requested output is NaN;
-    - for any stacked system, max |s_b| |P| over the chain exceeds
-      _CANCELLATION times max |P s_b|, or max |s_b| |Φ| over the requested
-      outputs exceeds _CANCELLATION times max |y|."""
-    n = a.shape[-1]
-    m = a.astype(np.longdouble)
-    if b is not None:  # an affine drive is one more state entry, fixed at 1
-        m = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-1]) + (n + 1, n + 1), np.longdouble)
+    """(y, kept): the outputs of x_{i+1} = A x_i (+ b) through ``_chain``,
+    and whether each stacked system keeps them (y is None if none does);
+    for series past ``_loop_length`` states. An affine drive is one more
+    state entry, fixed at 1; Φ_k = c A^k and P = A^_BLOCK come by doubling.
+    A system is not kept when an entry of its Φ overflows or is subnormal
+    in float64, or a product on the way cancels past _CANCELLATION or is
+    not finite."""
+    n, m = a.shape[-1], a
+    if b is not None:
+        m = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-1]) + (n + 1, n + 1))
         m[..., :n, :n], m[..., :n, n], m[..., n, n] = a, b, 1
         c = np.append(c, np.zeros(c.shape[:-1] + (1,)), axis=-1)
         x = np.append(x, np.ones(x.shape[:-1] + (1,)), axis=-1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi = _powers(np.swapaxes(m, -1, -2), c.astype(np.longdouble), _BLOCK)
-        mag = np.abs(phi)
-        if not np.all((mag == 0) | (mag >= np.finfo(float).tiny) & (mag <= np.finfo(float).max)):
-            return None
-        phi, p = phi.astype(float), m
-        for _ in range(_BLOCK.bit_length() - 1):
-            p = p @ p
-        out = np.zeros(np.broadcast_shapes(phi.shape[:-2], x.shape[:-1])
-                       + (-(-length // _BLOCK), _BLOCK))
-        s = _chain(p, phi, out, x)
-        y = out.reshape(out.shape[:-2] + (-1,))[..., :length]
-        if np.isnan(y).any():
-            return None
-        chain = np.abs(s[..., :-1, :]) @ np.abs(np.swapaxes(p, -1, -2))
-        fill = np.abs(s[..., :-1, :].astype(float)) @ np.abs(np.swapaxes(phi, -1, -2))
-        fill = fill.reshape(y.shape[:-1] + (-1,))[..., :length]
-        if ((chain.max(axis=(-2, -1)) > _CANCELLATION * np.abs(s[..., 1:, :]).max(axis=(-2, -1)))
-                | (fill.max(axis=-1) > _CANCELLATION * np.abs(y).max(axis=-1))).any():
-            return None
-    return y
+    lead = np.broadcast_shapes(m.shape[:-2], c.shape[:-1], x.shape[:-1])
+    m, c, x = (np.broadcast_to(v, lead + v.shape[-k:]) for v, k in ((m, 2), (c, 1), (x, 1)))
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        phi, p, kept = _doubling(_dd(c[..., None, :]), _dd(m), _BLOCK, np.ones(lead, bool), True)
+        mag = np.abs(phi[0])
+        kept &= np.all((mag == 0) | (mag >= np.finfo(float).tiny) & (mag <= np.finfo(float).max),
+                       axis=(-2, -1))
+        return _chain(p, phi, x, length, kept)
 
 
 def observability_matrix(a, c) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 The pipeline: slice Hankel windows out of the series, solve the window
 equations for the recurrence coefficients, wrap them as a companion-form
-prediction model, then predict, classify stability, certify conjugacy with
-a known system, or map the model back to a continuous-time spectrum.
+prediction model, then predict (past a length, by simulating its companion
+realisation), classify stability, certify conjugacy with a known system, or
+map the model back to a continuous-time spectrum.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .numkit import (
     MonicPolynomial,
     _as_vector,
     _binary_exponent,
+    _dd_matmul,
     _positive,
     condition_estimate,
     numerical_rank,
@@ -40,7 +42,6 @@ SINGULAR_CONDITION_CAP = 1e10
 STABILITY_MARGIN = 1e-8
 ALIASING_MARGIN = 1e-6
 RANK_BLOCK = 8  # leading Hankels ranked per stacked call in estimate_order
-LOOP_STEPS = 512  # predictions of up to this many steps always run the loop
 
 __all__ = [
     "ConjugacyReport",
@@ -224,40 +225,30 @@ def _identify(series: TimeSeries, n: int, k: int, affine: bool = False,
 
 
 def _window_residual(y, k, n, coeffs, offset) -> float:
-    """Max equation defect over every window the series supports; ``fmax``
-    skips a NaN defect."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as inf
-        defect = _defects(y, k, n, coeffs, offset)
-    return float(np.fmax.reduce(np.abs(defect), initial=0.0))
-
-
-def _defects(y, k, n, coeffs, offset):
-    """y_{j+n} + coeffs · (y_j, ..., y_{j+n-1}) - offset for every window
-    from j = k on, in the dtype of ``y`` and ``coeffs``.
+    """Max equation defect y_{j+n} + coeffs · (y_j, ..., y_{j+n-1}) - offset
+    over every window from j = k on; ``fmax`` skips a NaN defect.
 
     ``np.vecdot`` runs the same dot kernel per row as ``coeffs @ window``,
-    so each float64 defect is bit-equal to the one-window product; a matrix
-    product (``h @ coeffs``) is not.
+    so each defect is bit-equal to the one-window product; a matrix product
+    (``h @ coeffs``) is not.
     """
-    defect = y[k + n:] + np.vecdot(_hankel(y, k, n, len(y) - n - k), coeffs)
-    if offset:  # x - 0.0 is x, bit for bit: skip the pass
-        defect -= offset
-    return defect
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as inf
+        defect = y[k + n:] + np.vecdot(_hankel(y, k, n, len(y) - n - k), coeffs)
+        if offset:  # x - 0.0 is x, bit for bit: skip the pass
+            defect -= offset
+    return float(np.fmax.reduce(np.abs(defect), initial=0.0))
 
 
 def predict(model: PredictionModel, seed, steps: int) -> TimeSeries:
     """Continue the recurrence past the last n observed values.
 
-    Up to LOOP_STEPS steps this is the loop: step i is offset - coeffs · w_i
-    in float64, w_i being the n values before it. Longer predictions run
-    ``_predict_blocks``, whose result is kept only where long double is
-    extended precision and every step's defect y_i + coeffs · w_i - offset,
-    taken in long double, is within (n+1) u (|offset| + |coeffs| · |w_i|),
-    u = 2^-53: the bound on the rounding of one step of the loop. So an
-    accepted prediction solves the recurrence as closely as the loop does,
-    step by step. Otherwise the loop runs from the start and gives its own
-    bits, and a diverging prediction raises NonFinite naming the loop's
-    first non-finite step.
+    The loop: step i is offset - coeffs · w_i in float64, w_i being the n
+    values before it. Past ``dynsys._loop_length`` windows, the prediction
+    is ``dynsys._blocks`` on the companion realisation (A the companion
+    matrix, drive offset e_n, c = e_n, x0 the seed), kept only if
+    ``_accepted``: then it solves the recurrence as closely as the loop,
+    step by step. Otherwise the loop runs from the start, and a diverging
+    prediction raises NonFinite naming its first non-finite step.
     """
     window = _as_vector(seed, model.order, "seed window")
     if steps < 1:
@@ -268,8 +259,14 @@ def predict(model: PredictionModel, seed, steps: int) -> TimeSeries:
     buf[:n] = window
     out = buf[n:]
     with np.errstate(over="ignore", invalid="ignore"):
-        if (steps <= LOOP_STEPS or not dynsys._EXTENDED
-                or not _predict_blocks(coeffs, offset, buf)):
+        kept = False
+        if steps >= dynsys._loop_length(n + bool(offset)):
+            last = np.eye(n)[-1]
+            y, kept = dynsys._blocks(model.companion, offset * last if offset else None, last,
+                                     window, steps + 1)
+            if kept:
+                out[:] = y[1:]
+        if not (kept and _accepted(coeffs, offset, buf)):
             # window i is buf[i:i + n]: its last entry, out[i - 1], was written by
             # the step before. coeffs.dot runs the same 1-D kernel as coeffs @ w.
             dot = coeffs.dot
@@ -279,69 +276,19 @@ def predict(model: PredictionModel, seed, steps: int) -> TimeSeries:
     return TimeSeries(out, step=model.step)
 
 
-def _predict_blocks(coeffs, offset, buf) -> bool:
-    """buf[n:] in blocks of dynsys._BLOCK steps plus one correction; True
-    when the result is ``_accepted``.
-
-    - Block operator: Φ, whose column j is the loop's first _BLOCK steps
-      from the unit window e_j, run in long double. A unit forcing at one
-      step moves the steps after it by the impulse response
-      g = (1, Φ[:-1, n-1]).
-    - First pass: block b is Φ times the n values before it, plus the
-      offset's response cumsum(g) offset.
-    - Correction: the defects r of that series, in long double, force the
-      recurrence once more from a zero window, which gives its error e;
-      the forcing enters each block through the lower-triangular Toeplitz
-      matrix of g. buf[n:] - e is the result.
-
-    One (blocks, _BLOCK) work array holds each pass in turn; the passes
-    over the series take _BLOCK of its rows at a time, so that their
-    temporaries stay small next to it.
-    """
-    n, size = coeffs.size, dynsys._BLOCK
-    steps = buf.size - n
-    a = coeffs.astype(np.longdouble)
-    # [I; Φ]: row n + k holds step k of the loop from each unit window
-    units = np.zeros((n + size, n), np.longdouble)
-    units[:n] = np.eye(n)
-    dot = (-a).dot
-    for k in range(size):
-        dot(units[k:k + n], out=units[n + k])
-    g = units[n - 1:-1, -1].astype(float)
-    lag = np.subtract.outer(np.arange(size), np.arange(size))
-    toeplitz = np.where(lag >= 0, g[lag], 0.0)
-    work = np.empty((-(-steps // size), size))
-    flat = work.reshape(-1)
-    work[:] = np.cumsum(g) * offset
-    # the window after a block is C^_BLOCK (the last n rows of [I; Φ]) times
-    # the one before it, plus the block's forced response at its end
-    p, phi, tail = units[-n:], units[n:].astype(float), work[:, -min(n, size):]
-    dynsys._chain(p, phi, work, buf[:n], tail)
-    buf[n:] = flat[:steps]
-    flat[steps:] = 0.0
-    for rows, y in zip(np.split(work, range(size, len(work), size)), _windows(buf, n)):
-        rows.reshape(-1)[:y.size - n] = _defects(y.astype(np.longdouble), 0, n, a, offset)
-        rows[:] = rows @ toeplitz.T
-    dynsys._chain(p, phi, work, np.zeros(n), tail)
-    buf[n:] -= flat[:steps]
-    return _accepted(coeffs, offset, buf)
-
-
-def _windows(buf, n):
-    """buf[n:] in parts of _BLOCK blocks, each with the n values before it."""
-    part = dynsys._BLOCK ** 2
-    return (buf[j:j + part + n] for j in range(0, buf.size - n, part))
-
-
 def _accepted(coeffs, offset, buf) -> bool:
-    """Whether every step of buf[n:] has a long-double defect within the
-    loop's own rounding bound (n+1) u (|offset| + |coeffs| · |w|), u = 2^-53.
-    A non-finite value fails: the first one has a finite window, so its
-    defect is inf or NaN."""
+    """Whether every step of buf[n:] has a defect y_{i+n} + coeffs · w_i -
+    offset, in double-double, within the loop's own rounding bound
+    (n+1) u (|offset| + |coeffs| · |w_i|), u = 2^-53. A non-finite value
+    fails: the first one has a finite window, so its defect is inf or NaN."""
     n = coeffs.size
-    a, u = coeffs.astype(np.longdouble), (n + 1) * np.finfo(float).epsneg
-    for y in _windows(buf, n):
-        defect = np.abs(_defects(y.astype(np.longdouble), 0, n, a, offset))
+    u = (n + 1) * np.finfo(float).epsneg
+    row = dynsys._dd(np.append(coeffs, 1.0)[None])
+    for j in range(0, buf.size - n, 4096):
+        y = buf[j:j + 4096 + n]
+        windows = _hankel(y, 0, n + 1, y.size - n).T  # a row per index: y shifted
+        hi, lo, _ = _dd_matmul(row, (windows, np.broadcast_to(0.0, windows.shape)))
+        defect = np.abs((hi[0] - offset) + lo[0])
         bound = _hankel(np.abs(y), 0, n, y.size - n) @ (u * np.abs(coeffs)) + u * abs(offset)
         if not np.all(defect <= bound):
             return False

@@ -4,7 +4,9 @@ Everything here is deterministic: Faddeev-LeVerrier characteristic
 polynomials, scaling-and-squaring matrix exponentials and Sylvester-matrix
 discriminants; roots, ranks and condition numbers come from LAPACK
 (``np.roots``, ``np.linalg.matrix_rank``, ``np.linalg.cond``). Targets small
-dense problems (n up to a few tens); no sparsity, no extended precision.
+dense problems (n up to a few tens); no sparsity. Double-double (a float64
+pair hi + lo, |lo| <= ulp(hi) / 2) serves long series: ``_two_sum``,
+``_split`` and ``_dd_matmul``, plain ufuncs whose bits no BLAS kernel moves.
 
 ``char_poly``, ``mat_exp``, ``discriminant``, ``numerical_rank`` and
 ``condition_estimate`` also take stacks: leading axes in front of the matrix
@@ -235,3 +237,44 @@ def condition_estimate(m):
     A stack of matrices gives an array of estimates.
     """
     return _scale_free(np.linalg.cond, m, math.inf)
+
+
+def _two_sum(a, b):
+    """(s, e): s = fl(a + b) and s + e = a + b exactly (Knuth's TwoSum)."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _split(x):
+    """(hi, lo): hi + lo = x in at most 26 significant bits each (Dekker,
+    Numer. Math. 1971), so a product of parts is exact. |x| > 2^996 is split
+    over 2^28, so x (2^27 + 1) cannot overflow; |x| >= 2^1024 - 2^997 gives
+    an infinite hi."""
+    big = np.abs(x) > 2.0**996
+    scale = np.where(big, 2.0**28, 1.0) if big.any() else None
+    if scale is not None:
+        x = x / scale
+    t = x * (2.0**27 + 1)
+    hi = t - (t - x)
+    return (hi, x - hi) if scale is None else (hi * scale, (x - hi) * scale)
+
+
+def _dd_matmul(a, b):
+    """(hi, lo, mag): a @ b in double-double, a = (hi, lo) (..., k, m) and
+    b = (hi, lo) (..., m, j), leading axes broadcast; mag = |a_hi| @ |b_hi|
+    shows cancellation. Per index of the sum, one outer product split into
+    its rounded value and exact error (Dekker), a_hi b_lo + a_lo b_hi joining
+    the error; values summed by ``_two_sum``, errors in float64 (Dot2: Ogita,
+    Rump & Oishi, SIAM J. Sci. Comput. 2005). Error about m 2^-106 mag."""
+    (ah, al), (bh, bl) = a, b
+    cols = [v[..., :, :, None] for v in (ah, al, *_split(ah))]
+    hi = lo = mag = 0.0
+    for i in range(ah.shape[-1]):
+        (x, xl, x1, x2), y, yl = (v[..., i, :] for v in cols), bh[..., None, i, :], bl[..., None, i, :]
+        y1, y2 = _split(y)
+        p = x * y
+        hi, t = _two_sum(hi, p) if i else (p, 0.0)
+        lo = lo + t + (x1 * y1 - p + x1 * y2 + x2 * y1 + x2 * y2 + x * yl + xl * y)
+        mag = mag + np.abs(p)
+    return (*_two_sum(hi, lo), mag)

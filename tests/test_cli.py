@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from linident import SystemSpec, identify, predict, simulate_discrete
-from linident import dynsys, io
+from linident import io
 from linident.cli import main
 
 
@@ -378,10 +378,8 @@ class TestSimulateCommand:
         while len(exact) < 1476:
             exact.append(exact[-2] + exact[-1])
         assert y.size == 1476
-        # every sample within 1 ulp of the exact F_k, the last one included;
-        # where the blocks do not run, the loop's rounding reaches 13 ulp
-        ulps = 1 if dynsys._EXTENDED else 13
-        assert all(abs(v - f) <= ulps * math.ulp(f) for v, f in zip(y.tolist(), map(float, exact)))
+        # every sample is the correctly rounded F_k, the last one included
+        assert y.tolist() == [float(f) for f in exact]
 
 
 class TestMonteCarloCommand:

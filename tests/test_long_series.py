@@ -5,19 +5,21 @@ residual check, prediction, simulation and the series writer ran one sample
 at a time. The vectorised paths of identification and the writer do the
 same arithmetic in the same order, so on a long series each of their
 results must be bitwise equal to its loop. Simulation and prediction do not
-repeat their loops' arithmetic. Both run one block kernel, ``dynsys._chain``:
-a long-double chain of the states between blocks of 64 outputs, each block
-filled by one float64 product. Simulation chains A^64 from the start;
-prediction, past LOOP_STEPS, chains its windows and adds one long-double
-residual correction. Both are held to an exact reference instead:
-simulation's error must be at most twice the loop's, on rotation systems
-and on their non-normal companion matrices alike, and prediction's at most
-the loop's. Where their blocks cannot be used, would cancel, or fail
-prediction's acceptance test, each must equal its loop bit for bit.
+repeat their loops' arithmetic. Past ``dynsys._loop_length`` states both run
+one block path, ``dynsys._blocks``, in double-double: a doubling scan of the
+states between blocks of 64 outputs, each block filled by one correctly
+rounded product; a prediction is the simulation of the model's companion
+realisation, kept only if ``ident._accepted``. Both are held to an exact
+reference instead: simulation's error must be at most twice the loop's, on
+rotation systems and on their non-normal companion matrices alike, and
+prediction's within half an ulp of its largest value. Where their blocks
+cannot be used, would cancel, or fail prediction's acceptance test, each
+must equal its loop bit for bit.
 """
 
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -198,16 +200,23 @@ def decimal_predict(model, seed, steps):
 
 @pytest.fixture
 def block_results(monkeypatch):
-    """What each ``_predict_blocks`` call returned: True where its blocks
-    were kept."""
+    """For each prediction that tried the blocks: True where they were kept
+    (``dynsys._blocks`` kept the system and ``ident._accepted`` held)."""
     results = []
-    blocks = ident._predict_blocks
+    blocks, accepted = dynsys._blocks, ident._accepted
 
-    def spy(*args):
-        results.append(blocks(*args))
+    def spy_blocks(*args):
+        y, kept = blocks(*args)
+        if not kept:
+            results.append(False)
+        return y, kept
+
+    def spy_accepted(*args):
+        results.append(accepted(*args))
         return results[-1]
 
-    monkeypatch.setattr(ident, "_predict_blocks", spy)
+    monkeypatch.setattr(dynsys, "_blocks", spy_blocks)
+    monkeypatch.setattr(ident, "_accepted", spy_accepted)
     return results
 
 
@@ -219,9 +228,10 @@ def loop_prediction(model, seed, steps):
 @pytest.mark.parametrize("n", NS)
 @pytest.mark.parametrize("offset", [None, OFFSET])
 def test_predict(series, block_results, n, offset):
-    """Past LOOP_STEPS, the blocks are kept, and their error against the
-    exact continuation is at most the loop's. On these models it is that of
-    rounding the exact values (the loop's: 3e-15 to 5e-13)."""
+    """Past the loop length, the blocks are kept, and their error against
+    the exact continuation is at most the loop's and within half an ulp of
+    the largest value: the blocks round each exact value correctly (the
+    loop's error: up to 5e-13)."""
     model = unit_circle_model(n, offset)
     seed = series.values[-n:]
     got = predict(model, seed, EXACT_LENGTH)
@@ -230,7 +240,7 @@ def test_predict(series, block_results, n, offset):
     exact = decimal_predict(model, seed, EXACT_LENGTH)
     error = relative_error(got.values, exact)
     assert error <= relative_error(loop_prediction(model, seed, EXACT_LENGTH), exact)
-    assert error <= 2 * np.finfo(float).eps
+    assert error <= np.finfo(float).epsneg
 
 
 @pytest.mark.parametrize("n", NS)
@@ -238,7 +248,7 @@ def test_predict(series, block_results, n, offset):
 def test_short_predictions_are_the_loop(series, block_results, n, offset):
     model = unit_circle_model(n, offset)
     seed = series.values[-n:]
-    for steps in (1, 3, ident.LOOP_STEPS):
+    for steps in (1, 3, dynsys._loop_length(n + (offset is not None)) - 1):
         got = predict(model, seed, steps)
         assert bitwise_equal(got.values, loop_prediction(model, seed, steps))
     assert block_results == []
@@ -257,8 +267,9 @@ def test_acceptance_bound_is_the_loops_rounding(series, n):
 
 
 def test_clustered_slow_rotations_run_the_loop(block_results):
-    """The companion of three slow rotations at nearly the same angle: one
-    correction cannot repair its blocks, so the loop runs from the start."""
+    """The companion of three slow rotations at nearly the same angle: its
+    block products cancel past _CANCELLATION (ratio 3e8 and more), so the
+    loop runs from the start."""
     rng = np.random.default_rng(18)
     angles = rng.uniform(0.01, 0.05, 3)
     roots = np.concatenate((np.exp(1j * angles), np.exp(-1j * angles)))
@@ -271,13 +282,26 @@ def test_clustered_slow_rotations_run_the_loop(block_results):
     assert bitwise_equal(got.values, want)
 
 
-def test_without_extended_precision_predict_is_the_loop(monkeypatch, series, block_results):
-    monkeypatch.setattr(dynsys, "_EXTENDED", False)
-    model = unit_circle_model(8, OFFSET)
-    seed = series.values[-8:]
-    got = predict(model, seed, LENGTH)
-    assert block_results == []
-    assert bitwise_equal(got.values, loop_prediction(model, seed, LENGTH))
+def test_cancelling_blocks_give_way_per_system():
+    """Simulating that companion realisation (c = e_n): its block products
+    cancel past _CANCELLATION, so the system runs the loop, bit for bit.
+    Stacked with a rotation system, only the cancelling system does; the
+    other keeps the blocks it gets alone."""
+    rng = np.random.default_rng(18)
+    angles = rng.uniform(0.01, 0.05, 3)
+    roots = np.concatenate((np.exp(1j * angles), np.exp(-1j * angles)))
+    slow = PredictionModel(np.poly(roots)[::-1][:-1].real).companion
+    fast = mat_exp(rotations(6, rng), STEP)
+    c, x = np.eye(6)[-1], rng.uniform(-1, 1, 6)
+    assert not dynsys._blocks(slow, None, c, x, LENGTH)[1]
+    loop = reference_iterate(slow, None, c, x, LENGTH)
+    assert bitwise_equal(_iterate(slow, None, c, x, LENGTH), loop)
+    y, kept = dynsys._blocks(np.stack((slow, fast)), None, c, x, LENGTH)
+    assert kept.tolist() == [False, True]
+    stacked = _iterate(np.stack((slow, fast)), None, c, x, LENGTH)
+    assert bitwise_equal(stacked[0], loop)
+    assert bitwise_equal(stacked[1], _iterate(fast, None, c, x, LENGTH))
+    assert bitwise_equal(stacked[1], y[1])
 
 
 def test_diverging_prediction_names_the_loops_step(block_results):
@@ -290,6 +314,20 @@ def test_diverging_prediction_names_the_loops_step(block_results):
     with pytest.raises(NonFinite, match=f"^prediction diverges: step {first} of 3000 is not finite$"):
         predict(model, [1.0], 3000)
     assert block_results == [False]
+
+
+@pytest.mark.parametrize("n", [64, 70, 130])
+def test_high_orders_run_the_loop(block_results, n):
+    """At orders 64 to 130 the blocks' fixed cost (0.15 to 0.9 s) is far
+    above 1e4 loop steps (about 15 ms): such a prediction runs the loop, with
+    its bits, and never builds the m x m double-double powers."""
+    rng = np.random.default_rng(n)
+    model = PredictionModel(rng.uniform(-1, 1, n) * 0.5 / n, offset=1.0)  # a contraction
+    seed = rng.uniform(-1, 1, n)
+    assert dynsys._loop_length(n + 1) > 10_000
+    got = predict(model, seed, 10_000)
+    assert block_results == []
+    assert bitwise_equal(got.values, loop_prediction(model, seed, 10_000))
 
 
 def decimal_iterate(a, b, c, x, length):
@@ -353,56 +391,74 @@ def test_iterate(n, drive, stack):
 @pytest.mark.parametrize("stack", [(), (3,)], ids=["single", "stacked"])
 def test_iterate_companion(n, drive, stack):
     """Non-normal systems: a companion matrix C of slow rotations has |C^64|
-    far above |C^64 x|. The blocks must still hold the loop's accuracy,
-    which at n = 8 they can only do by giving way to it."""
+    far above |C^64 x|. The blocks must still hold the loop's accuracy; at
+    n = 8, where their cancellation ratio reaches 1e3 to 1e4, they are kept
+    and err by at most an ulp of the largest sample (the loop: 4e-12 to
+    2e-10)."""
     a, b, c, x = iterate_case(n, drive, stack)
     a = companion(a)
-    if n == 8:  # both cancellation ratios of dynsys._blocks reach 1e3 to 1e4
-        assert bitwise_equal(_iterate(a, b, c, x, LENGTH), reference_iterate(a, b, c, x, LENGTH))
+    if n == 8:
+        y, kept = dynsys._blocks(a, b, c, x, EXACT_LENGTH)
+        assert np.all(kept)
+        exact = decimal_iterate(a, b, c, x, EXACT_LENGTH)
+        assert (relative_error(y, exact) <= np.finfo(float).eps).all()
     assert_loop_accuracy(a, b, c, x)
+
+
+def dyadic(values):
+    """(integers, e): each float of ``values`` is exactly its integer / 2^e."""
+    exact = [Fraction(v) for v in values]
+    e = max(f.denominator.bit_length() - 1 for f in exact)
+    return [int(f * 2**e) for f in exact], e
 
 
 @pytest.mark.parametrize("tails", [False, True], ids=["no-tails", "tails"])
 @pytest.mark.parametrize("stack", [(), (3,)], ids=["single", "stacked"])
 def test_chain(tails, stack):
-    """``_chain`` against a direct long-double recurrence s_{b+1} = P s_b
-    (+ tail b on the last entries): its states are within the long-double
-    rounding of the recurrence, far below a float64 chain's, and it adds
-    Φ s_b to block b."""
+    """``_chain`` against the exact outputs Φ_k P^b s, in integer arithmetic
+    on the floats' exact binary values: every output is the correctly
+    rounded exact value, whether the series ends on a whole block or in a
+    tail of 37 outputs (300 blocks in all, 9 scan rounds). P is a
+    double-double rotation of order 3, Φ random."""
     rng = np.random.default_rng(19)
-    m, t, blocks = 3, 2, 300
-    p = np.linalg.qr(rng.standard_normal(stack + (m, m)))[0].astype(np.longdouble)
+    m, blocks = 3, 300
+    length = blocks * dynsys._BLOCK - (dynsys._BLOCK - 37 if tails else 0)
+    hi = np.linalg.qr(rng.standard_normal(stack + (m, m)))[0]
+    p = np.stack((hi, hi * rng.uniform(-1, 1, hi.shape) * 2.0**-54))
     phi = rng.uniform(-1, 1, stack + (dynsys._BLOCK, m))
     s = rng.uniform(-1, 1, stack + (m,))
-    tail = rng.uniform(-0.01, 0.01, stack + (blocks, t)) if tails else None
-    out = rng.uniform(-1, 1, stack + (blocks, dynsys._BLOCK))
-    before = out.copy()
-    got = dynsys._chain(p, phi, out, s, tail)
-    want = np.empty(stack + (blocks + 1, m), np.longdouble)
-    want[..., 0, :] = s
-    for b in range(blocks):
-        want[..., b + 1, :] = np.matvec(p, want[..., b, :])
-        if tails:
-            want[..., b + 1, m - t:] += tail[..., b, :]
-    assert got.shape == want.shape
-    assert np.abs(got - want).max() <= blocks * np.finfo(np.longdouble).eps
-    fill = want[..., :-1, :].astype(float) @ np.swapaxes(phi, -1, -2)
-    np.testing.assert_allclose(out - before, fill, rtol=0, atol=16 * np.finfo(float).eps)
+    y, kept = dynsys._chain(p, np.stack((phi, np.zeros_like(phi))), s, length, np.ones(stack, bool))
+    assert y.shape == stack + (length,)
+    assert np.all(kept)
+    for i in np.ndindex(stack):
+        # P = hi + lo as one integer matrix over 2^ep
+        pm, ep = dyadic(np.concatenate((p[0][i].ravel(), p[1][i].ravel())))
+        pm = [[pm[r * m + j] + pm[m * m + r * m + j] for j in range(m)] for r in range(m)]
+        f, ef = dyadic(phi[i].ravel())
+        state, es = dyadic(s[i])
+        want = []
+        for b in range(blocks):  # int / int rounds correctly
+            scale = 1 << (ef + es + b * ep)
+            want.extend(sum(f[k * m + j] * state[j] for j in range(m)) / scale
+                        for k in range(dynsys._BLOCK))
+            state = [sum(a * v for a, v in zip(row, state)) for row in pm]
+        assert y[i].tolist() == want[:length]
 
 
 @pytest.mark.parametrize("n", NS)
 def test_two_blocks_are_the_loop(n):
-    """Short series (windows, Q, K, Monte Carlo draws) keep the loop's bits."""
+    """Short series (windows, Q, K, Monte Carlo draws) keep the loop's bits,
+    up to the longest the loop runs."""
     rng = np.random.default_rng(5)
     a = mat_exp(rotations(n, rng), STEP)
     b, c, x = rng.uniform(-1, 1, (3, n))
-    length = 2 * dynsys._BLOCK
-    assert bitwise_equal(_iterate(a, b, c, x, length), reference_iterate(a, b, c, x, length))
+    for length in (2 * dynsys._BLOCK, dynsys._loop_length(n + 1)):
+        assert bitwise_equal(_iterate(a, b, c, x, length), reference_iterate(a, b, c, x, length))
 
 
 @pytest.mark.parametrize("a, x, length", [
-    ([[1e5, 0.0], [0.0, 0.5]], [0.0, 1.0], 200),  # c A^63 overflows float64
-    ([[1e-5, 0.0], [0.0, 0.5]], [1e300, 1.0], 200),  # c A^63 is subnormal
+    ([[1e5, 0.0], [0.0, 0.5]], [0.0, 1.0], 2000),  # c A^63 overflows float64
+    ([[1e-5, 0.0], [0.0, 0.5]], [1e300, 1.0], 2000),  # c A^63 is subnormal
     # a scalar series of this kind stays finite only while it is too short for blocks
     ([[1e5]], [1e-300], 120),
     ([[1e-5]], [1e300], 100),
@@ -415,16 +471,6 @@ def test_power_outside_float64_runs_the_loop(a, x, length):
     got = _iterate(a, None, c, x, length)
     assert np.isfinite(got).all()
     assert bitwise_equal(got, reference_iterate(a, None, c, x, length))
-
-
-@pytest.mark.parametrize("drive", [False, True], ids=["homogeneous", "affine"])
-def test_without_extended_precision_the_loop_runs_to_the_end(monkeypatch, drive):
-    monkeypatch.setattr(dynsys, "_EXTENDED", False)
-    rng = np.random.default_rng(11)
-    a = mat_exp(rotations(4, rng), STEP)
-    b = rng.uniform(-0.1, 0.1, 4) if drive else None
-    c, x = rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4)
-    assert bitwise_equal(_iterate(a, b, c, x, LENGTH), reference_iterate(a, b, c, x, LENGTH))
 
 
 class TestWriter:

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,71 @@ from linident import (
     numerical_rank,
     poly_roots,
 )
-from linident.numkit import as_matrix
+from linident.numkit import _dd_matmul, _split, _two_sum, as_matrix
+
+
+def significant_bits(x: float) -> int:
+    """Number of bits from the leading to the last set bit of |x|; 0 for 0."""
+    num = abs(Fraction(x).numerator)
+    return (num >> ((num & -num).bit_length() - 1)).bit_length() if num else 0
+
+
+# exponents across float64's range, the split's pre-scaled top (|x| > 2^996),
+# the largest double whose 26-bit parts stay finite, subnormals, signed zeros
+EDGES = [1.5e308, -2.0**1000 * 1.2345, (2 - 2.0**-25) * 2.0**1023, 2.0**996, 2.0**997,
+         5e-324, -3e-310, 2.0**-1022, 0.0, -0.0, 1.0, -1.0 / 3]
+
+
+class TestDoubleDouble:
+    """The double-double kernels against exact rational arithmetic."""
+
+    def values(self, count=400):
+        rng = np.random.default_rng(12)
+        x = rng.uniform(1, 2, count) * np.exp2(rng.integers(-1070, 1020, count))
+        return np.concatenate((np.where(rng.random(count) < 0.5, -x, x), EDGES))
+
+    def test_two_sum_is_exact(self):
+        a = self.values()
+        b = np.random.default_rng(13).permutation(a) * 2.0**-30
+        s, e = _two_sum(a, b)
+        assert np.array_equal(s, a + b)
+        for x, y, hi, lo in zip(a, b, s, e):
+            assert Fraction(hi) + Fraction(lo) == Fraction(x) + Fraction(y)
+
+    def test_two_sum_of_signed_zeros(self):
+        s, e = _two_sum(np.array([-0.0, -0.0, 0.0]), np.array([-0.0, 0.0, -0.0]))
+        assert np.signbit(s).tolist() == [True, False, False]
+        assert (e == 0).all()
+
+    def test_split_is_exact_in_26_bits(self):
+        x = self.values()
+        hi, lo = _split(x)
+        assert np.isfinite(hi).all() and np.isfinite(lo).all()
+        for v, h, l in zip(x, hi, lo):
+            assert Fraction(h) + Fraction(l) == Fraction(v)
+            if abs(v) >= 2.0**-969:  # lo normal: a product of parts is exact
+                assert significant_bits(h) <= 26 and significant_bits(l) <= 26
+        assert np.signbit(_split(np.array([-0.0]))[0]).all()
+
+    @pytest.mark.parametrize("shape_a, shape_b", [((4, 5), (5, 3)), ((3, 2, 6), (6, 1)),
+                                                  ((1, 3), (2, 3, 7))])
+    def test_product_against_the_exact_one(self, shape_a, shape_b):
+        """hi + lo errs by at most m 2^-104 |a||b| (measured: 3 * 2^-106), hi is
+        the correctly rounded exact product, and mag is |a_hi| @ |b_hi|;
+        leading axes broadcast."""
+        rng = np.random.default_rng(14)
+        a, b = (np.stack((h, h * rng.uniform(-1, 1, h.shape) * 2.0**-53))
+                for h in (rng.standard_normal(shape_a) * 10.0 ** rng.integers(-200, 200, shape_a),
+                          rng.standard_normal(shape_b)))
+        hi, lo, mag = _dd_matmul(a, b)
+        assert hi.shape == lo.shape == mag.shape == np.broadcast_shapes(shape_a[:-1] + (1,),
+                                                                        shape_b[:-2] + (1, shape_b[-1]))
+        np.testing.assert_allclose(mag, np.abs(a[0]) @ np.abs(b[0]), rtol=1e-15)
+        exact = np.vectorize(Fraction, otypes=[object])
+        want = (exact(a[0]) + exact(a[1])) @ (exact(b[0]) + exact(b[1]))
+        for i in np.ndindex(hi.shape):
+            assert abs(Fraction(hi[i]) + Fraction(lo[i]) - want[i]) <= shape_a[-1] * 2.0**-104 * mag[i]
+            assert hi[i] == float(want[i])
 
 
 class TestMatExp:
