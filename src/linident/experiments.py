@@ -12,11 +12,14 @@ its draw depends only on (seed, i), not on the block it is drawn in or on the
 trial count. So one generator call draws a whole block, any trial can be
 regenerated on its own (``draw_sample``), and reports are bit-reproducible.
 
-Trials are evaluated in blocks of BLOCK draws stacked into (T, n) and
-(T, n, n) arrays: each kernel runs once per block, and every trial gets the
-outcome it gets when evaluated alone (``evaluate_property`` is the block of
-one). Each property decides a block as one int code array indexing
-OUTCOMES; a trial's diagnostics dict is built only when it is reported.
+Trials are evaluated in blocks stacked into (T, n) and (T, n, n) arrays:
+each kernel runs once per block, and every trial gets the outcome it gets
+when evaluated alone (``evaluate_property`` is the block of one). A block
+holds ``_block_trials(n)`` draws, sized by matrix entries: as many as 128
+trials hold at n = 12, and never fewer than 128 trials. Since a trial's
+draw and outcome do not depend on its block, neither does any report. Each
+property decides a block as one int code array indexing OUTCOMES; a
+trial's diagnostics dict is built only when it is reported.
 
 A draw is judged after division by its box's 2^e, 2^(e-1) < max(|lo|, |hi|)
 <= 2^e: exact, once per box, before any product can overflow or underflow.
@@ -56,7 +59,6 @@ PROPERTIES = (
 
 CONTINUOUS_STEP = 0.01
 DISCRIMINANT_FLOOR = 1e-12
-BLOCK = 128  # trials stacked per kernel call; the largest stack stays under 1 MB
 
 __all__ = [
     "FAILURE",
@@ -265,16 +267,24 @@ def _end_to_end(prop: str, c, a, x0, config: TrialConfig):
     return codes, diagnostics
 
 
+def _block_trials(n: int) -> int:
+    """Trials stacked per kernel call at dimension n: 128 * 144 matrix
+    entries, as in the n = 12 block of 128, so small matrices share each
+    call's fixed dispatch cost; past n = 12, 128 trials, as before."""
+    return max(128, 128 * 144 // (n * n))
+
+
 def mc_estimate(prop: str, config: TrialConfig) -> ExperimentReport:
-    """Evaluate the trials in index-ordered blocks of BLOCK stacked draws
-    and aggregate the outcome counts.
+    """Evaluate the trials in index-ordered blocks of ``_block_trials(n)``
+    stacked draws and aggregate the outcome counts.
 
     ``worst_cases`` keeps the first ten failures in trial order.
     """
     counts = np.zeros(len(OUTCOMES), dtype=int)
     worst = []
-    for start in range(0, config.trials, BLOCK):
-        c, a, x0 = _draw_block(config, start, min(BLOCK, config.trials - start))
+    block = _block_trials(config.n)
+    for start in range(0, config.trials, block):
+        c, a, x0 = _draw_block(config, start, min(block, config.trials - start))
         codes, diagnostics = _evaluate(prop, c, a, x0, config)
         counts += np.bincount(codes, minlength=len(OUTCOMES))
         for j in np.flatnonzero(codes == 1)[:10 - len(worst)]:

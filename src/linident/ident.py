@@ -30,8 +30,9 @@ from .numkit import (
     MonicPolynomial,
     _as_vector,
     _binary_exponent,
-    _dd_matmul,
     _positive,
+    _split,
+    _two_sum,
     condition_estimate,
     numerical_rank,
     poly_roots,
@@ -280,15 +281,25 @@ def _accepted(coeffs, offset, buf) -> bool:
     """Whether every step of buf[n:] has a defect y_{i+n} + coeffs · w_i -
     offset, in double-double, within the loop's own rounding bound
     (n+1) u (|offset| + |coeffs| · |w_i|), u = 2^-53. A non-finite value
-    fails: the first one has a finite window, so its defect is inf or NaN."""
+    fails: the first one has a finite window, so its defect is inf or NaN.
+
+    The sum is ``_dd_matmul``'s Dot2 with every low part zero: the terms
+    those parts would add are zeros, whose signs the absolute value drops."""
     n = coeffs.size
     u = (n + 1) * np.finfo(float).epsneg
-    row = dynsys._dd(np.append(coeffs, 1.0)[None])
+    row = np.append(coeffs, 1.0)
     for j in range(0, buf.size - n, 4096):
         y = buf[j:j + 4096 + n]
-        windows = _hankel(y, 0, n + 1, y.size - n).T  # a row per index: y shifted
-        hi, lo, _ = _dd_matmul(row, (windows, np.broadcast_to(0.0, windows.shape)))
-        defect = np.abs((hi[0] - offset) + lo[0])
+        m = y.size - n
+        parts = (y, *_split(y))
+        hi = lo = 0.0
+        for i, (x, x1, x2) in enumerate(zip(row, *_split(row))):
+            w, w1, w2 = (v[i:i + m] for v in parts)  # entry k is y_{k+i}
+            p = x * w
+            hi, t = _two_sum(hi, p) if i else (p, 0.0)
+            lo = lo + t + (x1 * w1 - p + x1 * w2 + x2 * w1 + x2 * w2)
+        hi, lo = _two_sum(hi, lo)
+        defect = np.abs((hi - offset) + lo)
         bound = _hankel(np.abs(y), 0, n, y.size - n) @ (u * np.abs(coeffs)) + u * abs(offset)
         if not np.all(defect <= bound):
             return False

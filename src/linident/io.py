@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from array import array
+from itertools import chain
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .ident import IdentReport, PredictionModel
 from .numkit import _positive
 
 FORMAT_VERSION = 1
+_CHUNK = 8192  # samples formatted per write: a long series is never one string
 
 __all__ = [
     "FORMAT_VERSION",
@@ -82,18 +84,22 @@ def read_series(path) -> TimeSeries:
 
 def write_series(series: TimeSeries, path) -> None:
     """Series file text to ``path`` (None: standard output): the step header
-    when known, then one sample per line at 17 significant digits."""
+    when known, then one sample per line at 17 significant digits, formatted
+    and written _CHUNK samples at a time."""
     head = "" if series.step is None else f"# step={_fmt(series.step, 'step')}\n"
-    _write(head + ("%.17g\n" * len(series)) % tuple(series.values.tolist()), path)
+    values = series.values
+    parts = (values[i:i + _CHUNK].tolist() for i in range(0, len(values), _CHUNK))
+    _write(chain((head,), (("%.17g\n" * len(part)) % tuple(part) for part in parts)), path)
 
 
-def _write(text: str, path) -> None:
-    """The one file writer; a ``path`` of None means standard output."""
+def _write(chunks, path) -> None:
+    """The one file writer: the strings of ``chunks`` in turn; a ``path`` of
+    None means standard output."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
 def _fmt(x: float, key: str) -> str:
@@ -123,7 +129,7 @@ def _dump(obj, key="value") -> str:
 
 def write_report(report: dict, path) -> None:
     """Write any dict-shaped document deterministically."""
-    _write(dumps(report), path)
+    _write((dumps(report),), path)
 
 
 def document(**fields) -> dict:

@@ -28,9 +28,9 @@ from linident import (
     sample_continuous,
     simulate_discrete,
 )
+from linident import experiments, io
 from linident.dynsys import char_poly_of_sampled
 from linident.experiments import (
-    BLOCK,
     CONTINUOUS_STEP,
     DISCRIMINANT_FLOOR,
     FAILURE,
@@ -42,7 +42,8 @@ from linident.experiments import (
 )
 
 SEED = 90
-TRIALS = 300  # crosses a block boundary
+TRIALS = 300
+BLOCK = 128  # this test's own blocks: TRIALS crosses two of their boundaries
 NS = (2, 4, 8, 12)
 
 
@@ -109,6 +110,25 @@ def test_blocks_match_reference(prop, cond_cap, n):
     assert [case["diagnostics"] for case in report.worst_cases] == [
         evaluate_block(prop, *stacked(draws[i - i % BLOCK:][:BLOCK]), config)[i % BLOCK][1]
         for i in failed]
+
+
+@pytest.mark.parametrize("box", [(-1.0, 1.0), (0.0, 1.0)], ids=["box-1-1", "box0-1"])
+@pytest.mark.parametrize("n", (2, 12))
+@pytest.mark.parametrize("prop", PROPERTIES)
+def test_reports_do_not_depend_on_the_partition(prop, n, box, monkeypatch):
+    """Blocks forced to 1, 7 or 128 trials give the default blocks' report
+    byte for byte: at 300 trials, and at a count past the default's first
+    boundary (4653 at n = 2, too many to run one trial at a time)."""
+    def report(trials):
+        config = TrialConfig(n=n, trials=trials, seed=SEED, box=SamplingBox(*box))
+        return io.dumps(mc_estimate(prop, config).to_dict())
+
+    for trials, sizes in ((300, (1, 7, 128)), (experiments._block_trials(n) + 45, (128,))):
+        expected = report(trials)
+        for size in sizes:
+            with monkeypatch.context() as patch:
+                patch.setattr(experiments, "_block_trials", lambda n: size)
+                assert report(trials) == expected, (trials, size)
 
 
 def mixed_block(n):

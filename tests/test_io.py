@@ -68,6 +68,21 @@ class TestReadSeries:
         np.testing.assert_array_equal(back.values, series.values)
         assert back.step == series.step
 
+    @pytest.mark.parametrize("length", [8191, 8192, 8193, 2 * 8192 + 5])
+    @pytest.mark.parametrize("step", [None, 0.1])
+    def test_chunked_writes_match_one_string(self, tmp_path, capsys, length, step):
+        rng = np.random.default_rng(length)
+        values = rng.standard_normal(length) * 10.0 ** rng.integers(-300, 300, length)
+        series = TimeSeries(values, step=step)
+        expected = ("" if step is None else "# step=0.10000000000000001\n") + (
+            "%.17g\n" * length) % tuple(values.tolist())
+        p = tmp_path / "s.txt"
+        io.write_series(series, p)
+        assert p.read_bytes() == expected.encode()
+        capsys.readouterr()
+        io.write_series(series, None)
+        assert capsys.readouterr().out == expected
+
 
 class TestReports:
     def test_byte_identical_writes(self, tmp_path):
