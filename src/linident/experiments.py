@@ -185,10 +185,11 @@ def _evaluate(prop: str, c, a, x0, config: TrialConfig):
     i's diagnostics builder: c and x0 of shape (T, n), a of shape (T, n, n),
     with n = config.n.
 
-    Each step runs once on the whole stack. A trial whose intermediate
-    results overflow is a numerical rejection with error "NonFinite"; a
-    trial whose Hankel window exceeds the condition cap is rejected before
-    the solve. So no trial can make the block raise.
+    Each step runs once per block, on the trials whose outcome it can still
+    decide: the truth polynomial only within the condition cap. A trial
+    whose intermediate results overflow is a numerical rejection with error
+    "NonFinite"; a trial whose Hankel window exceeds the condition cap is
+    rejected before the solve. So no trial can make the block raise.
     """
     if prop not in PROPERTIES:
         raise ValueError(f"unknown property {prop!r}")
@@ -244,14 +245,14 @@ def _end_to_end(prop: str, c, a, x0, config: TrialConfig):
     y = _iterate(sampled, None, c, x0, 2 * n)
     finite = np.isfinite(y).all(axis=-1) & np.isfinite(sampled).all(axis=(-2, -1))
     sol, cond_finite = _solve_windows(_hankel(y[finite], 0, n), y[finite, n:])
-    truth = char_poly(sampled[finite])
-    err = np.abs(-sol - truth).max(axis=-1)
-    cond = np.full(len(a), np.nan)
-    rel = np.full(len(a), np.nan)
+    cond, rel = np.full((2, len(a)), np.nan)
     cond[finite] = cond_finite
-    rel[finite] = err / np.maximum(1.0, np.abs(truth).max(axis=-1))
-    # cond_cap <= SINGULAR_CONDITION_CAP, so a singular window is above the cap too
-    codes = np.where((cond <= config.cond_cap) & np.isfinite(rel), rel > config.success_tol, 2)
+    # a singular window is over cond_cap <= SINGULAR_CONDITION_CAP too; nothing reads its truth
+    judged = cond <= config.cond_cap
+    truth = char_poly(sampled[judged])
+    err = np.abs(-sol[judged[finite]] - truth).max(axis=-1)
+    rel[judged] = err / np.maximum(1.0, np.abs(truth).max(axis=-1))
+    codes = np.where(judged & np.isfinite(rel), rel > config.success_tol, 2)
 
     def diagnostics(i: int) -> dict:
         if not finite[i]:

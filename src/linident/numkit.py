@@ -108,16 +108,19 @@ class MonicPolynomial:
 
 
 def _norm1(m) -> np.ndarray:
-    """Max absolute column sum of each matrix in the stack."""
-    return np.abs(m).sum(axis=-2).max(axis=-1)
+    """Max absolute column sum of each matrix in the stack (einsum: sum's small axes are slow)."""
+    return np.einsum("...ij->...j", np.abs(m)).max(axis=-1)
 
 
 def mat_exp(m, t: float = 1.0) -> np.ndarray:
     """exp(t*m) by scaling and squaring with a truncated Taylor series.
 
-    Every matrix of a stack gets its own scaling and its own series length,
-    so a slice comes out as it would alone; one for which t*m overflows
-    comes out NaN.
+    Each x = t*m is scaled by 2^-s, s = max(0, ceil(log2 |x|_1) + 1), with
+    ``ldexp`` (exact, so s may pass 1023), and its series squared s times;
+    past s of about 50 that amplifies an oscillatory slice's rounding 2^s-fold
+    (a rotation at step 1e300 comes out as zeros). Every matrix of a stack
+    gets its own scaling and its own series length, so a slice comes out as
+    it would alone; one for which t*m overflows comes out NaN.
     """
     a = _as_square(m, stacked=True)
     if not np.isfinite(t):
@@ -127,18 +130,18 @@ def mat_exp(m, t: float = 1.0) -> np.ndarray:
         s = np.maximum(0, np.ceil(np.log2(_norm1(x))) + 1)
     finite = np.isfinite(s)
     s = np.where(finite, s, 0).astype(int)
-    x = np.where(finite[..., None, None], x / (2.0 ** s)[..., None, None], np.nan)
-    term = np.broadcast_to(np.eye(a.shape[-1]), a.shape)
-    total = term.copy()
+    x = np.where(finite[..., None, None], np.ldexp(x, -s[..., None, None]), np.nan)
+    # term 1 is x, not I @ x: they differ in signs of zeros, which total and the norms lose
+    term, total = x, x + np.eye(a.shape[-1])
     active = np.ones(a.shape[:-2], dtype=bool)
     adding = active[..., None, None]  # a view: follows the updates of active
-    for k in range(1, 60):
-        term = term @ x
-        term /= k
-        np.add(total, term, out=total, where=adding)
+    for k in range(2, 60):
         active &= _norm1(term) > 1e-17 * _norm1(total)
         if not np.count_nonzero(active):
             break
+        term = term @ x
+        term /= k
+        np.add(total, term, out=total, where=adding)
     for j in range(int(s.max(initial=0))):
         total = np.where((s > j)[..., None, None], total @ total, total)
     return total
@@ -158,9 +161,10 @@ def char_poly(m):
     mk = eye
     for k in range(1, n + 1):
         am = a @ mk
-        ck = -np.trace(am, axis1=-2, axis2=-1) / k
+        ck = -am.trace(axis1=-2, axis2=-1) / k
         desc[..., k - 1] = ck
-        mk = am + ck[..., None, None] * eye
+        if k < n:
+            mk = am + ck[..., None, None] * eye
     coeffs = desc[..., ::-1]
     return MonicPolynomial(coeffs) if a.ndim == 2 else coeffs
 

@@ -112,9 +112,11 @@ def test_blocks_match_reference(prop, cond_cap, n):
         for i in failed]
 
 
+# n = 8 end to end: every continuous window is over the cap, so some blocks
+# judge no trial and build no truth polynomial
 @pytest.mark.parametrize("box", [(-1.0, 1.0), (0.0, 1.0)], ids=["box-1-1", "box0-1"])
-@pytest.mark.parametrize("n", (2, 12))
-@pytest.mark.parametrize("prop", PROPERTIES)
+@pytest.mark.parametrize("prop, n", [(p, n) for p in PROPERTIES for n in (2, 12)] + [
+    (p, 8) for p in ("end-to-end-identifiable", "end-to-end-continuous")])
 def test_reports_do_not_depend_on_the_partition(prop, n, box, monkeypatch):
     """Blocks forced to 1, 7 or 128 trials give the default blocks' report
     byte for byte: at 300 trials, and at a count past the default's first
@@ -129,6 +131,37 @@ def test_reports_do_not_depend_on_the_partition(prop, n, box, monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(experiments, "_block_trials", lambda n: size)
                 assert report(trials) == expected, (trials, size)
+
+
+def truth_slices(monkeypatch):
+    """The matrices the engine passes to char_poly, in call order."""
+    passed = []
+
+    def recording(m):
+        passed.extend(np.asarray(m).reshape(-1, *np.shape(m)[-2:]))
+        return char_poly(m)
+
+    monkeypatch.setattr(experiments, "char_poly", recording)
+    return passed
+
+
+def test_no_truth_for_trials_over_the_cap(monkeypatch):
+    config = TrialConfig(n=8, trials=200, seed=1)
+    passed = truth_slices(monkeypatch)
+    report = mc_estimate("end-to-end-continuous", config)
+    assert report.numerical_rejections == config.trials
+    assert passed == []
+
+
+def test_truth_only_for_trials_within_the_cap(monkeypatch):
+    config = TrialConfig(n=8, trials=200, seed=1, cond_cap=1e6)
+    draws = [draw_sample(config, i) for i in range(config.trials)]
+    within = [a for c, a, x0 in draws if evaluate_property(
+        "end-to-end-identifiable", c, a, x0, config)[1]["condition_estimate"] <= config.cond_cap]
+    assert 0 < len(within) < config.trials
+    passed = truth_slices(monkeypatch)
+    mc_estimate("end-to-end-identifiable", config)
+    np.testing.assert_array_equal(passed, within)
 
 
 def mixed_block(n):

@@ -367,6 +367,17 @@ class TestSimulateCommand:
         assert out == ""
         assert err == "NonFinite: simulation diverges: sample 1477 of 2000 is not finite\n"
 
+    def test_decay_at_a_huge_step(self, capsys, tmp_path):
+        # exp(-2^1023): the scaled slice is -1/2, not a zero matrix
+        path = tmp_path / "decay.json"
+        io.write_system(SystemSpec("continuous", [[-1.0]], [1.0], step=2.0**1023), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "simulate", "--system", str(path),
+                                 "--x0", "1", "--len", "4")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["# step=8.9884656743115795e+307", "1", "0", "0", "0"]
+
     def test_last_finite_fibonacci_sample(self, capsys, tmp_path, fib_system):
         # the last state is (F_1476, inf); c = (1, 0) gives 1 * F_1476 + 0 * inf
         out = tmp_path / "fib.txt"

@@ -139,6 +139,18 @@ class TestSampleContinuous:
             with pytest.raises(NonFinite, match="sample 2 of 3 is not finite"):
                 sample_continuous(sys, [1.0], 3)
 
+    @pytest.mark.parametrize("rate", [-1.0, 1.0])
+    def test_step_past_the_scaling_limit(self, rate):
+        # step 2^1023 scales A by 2^-1024: a decay reaches 0, a growth diverges
+        sys = SystemSpec("continuous", [[rate]], [1.0], step=2.0**1023)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if rate < 0:
+                assert sample_continuous(sys, [1.0], 3).values.tolist() == [1.0, 0.0, 0.0]
+            else:
+                with pytest.raises(NonFinite, match="sample 2 of 3 is not finite"):
+                    sample_continuous(sys, [1.0], 3)
+
     def test_missing_step(self):
         sys = SystemSpec("continuous", ROT, [1, 0])
         with pytest.raises(MissingStep, match="continuous system has no sampling step"):

@@ -16,7 +16,7 @@ from linident import (
     numerical_rank,
     poly_roots,
 )
-from linident.numkit import _dd_matmul, _split, _two_sum, as_matrix
+from linident.numkit import _dd_matmul, _norm1, _split, _two_sum, as_matrix
 
 
 def significant_bits(x: float) -> int:
@@ -117,6 +117,35 @@ class TestMatExp:
             det = np.linalg.det(mat_exp(m, t))
             expect = math.exp(t * np.trace(m))
             assert abs(det - expect) <= 1e-9 * abs(expect)
+
+    def test_huge_step_scales_exactly(self):
+        # t = 2^1023 needs s = 1024: 2^s overflows, 2^-s is exact
+        t = 2.0**1023
+        np.testing.assert_array_equal(mat_exp([[-1.0]], t), [[0.0]])
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(mat_exp([[1.0]], t)).any()
+
+    def test_huge_slice_leaves_the_stack_alone(self):
+        rng = np.random.default_rng(23)
+        stack = rng.uniform(-1, 1, (5, 3, 3))
+        stack[2] = np.diag([-2.0**1023, -2.0**1022, -2.0**1000])
+        e = mat_exp(stack, 1.0)
+        np.testing.assert_array_equal(e[2], np.zeros((3, 3)))
+        for i in (0, 1, 3, 4):
+            assert e[i].tobytes() == mat_exp(stack[i], 1.0).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(40, 1, 1), (40, 2, 2), (40, 3, 3), (40, 8, 8),
+                                   (40, 12, 12), (33, 33), (130, 130)])
+def test_norm1_matches_column_sum_bits(shape):
+    """Bit-equal to the plain column-sum expression over entries spanning
+    2^-500 .. 2^500, with signed zeros, infinities and NaN mixed in."""
+    rng = np.random.default_rng(sum(shape))
+    stages = [rng.uniform(-1, 1, shape) * np.exp2(rng.integers(-500, 501, shape))]
+    for special in (0.0, -0.0, math.inf, -math.inf, math.nan):
+        stages.append(np.where(rng.uniform(size=shape) < 0.02, special, stages[-1]))
+    for m in stages:
+        assert _norm1(m).tobytes() == np.abs(m).sum(axis=-2).max(axis=-1).tobytes()
 
 
 class TestCharPoly:
