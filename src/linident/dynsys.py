@@ -17,6 +17,7 @@ from .numkit import (
     _as_square,
     _as_vector,
     _binary_exponent,
+    _dd,
     _dd_matmul,
     _positive,
     char_poly,
@@ -150,11 +151,6 @@ def _powers(a, x, length: int, b=None) -> np.ndarray:
     return states
 
 
-def _dd(v) -> np.ndarray:
-    """The double-double array (v, 0): axis 0 holds (hi, lo)."""
-    return np.stack((v, np.zeros_like(v)))
-
-
 def _kept(hi, mag) -> np.ndarray:
     """Per stacked system: max ``mag`` is finite, <= _CANCELLATION max |hi|."""
     top = mag.max(axis=(-2, -1))
@@ -196,7 +192,7 @@ def _chain(p, phi, s, length: int, kept):
         rows = states[..., b:b + _FILL, :]
         # s_b / 2^e_b, max |s_b| in [2^(e_b - 1), 2^e_b), as columns: no product
         # overflows unless its output does; outer products run in unit strides
-        e = np.frexp(np.abs(rows[0]).max(axis=-1))[1][..., None, :]
+        e = _binary_exponent(rows[0][..., None, :])[..., None, :]
         hi, _, mag = _dd_matmul(phi, np.ldexp(np.swapaxes(rows, -1, -2), -e[None]).copy())
         hi, mag, y_b = (np.swapaxes(v, -1, -2).reshape(v.shape[:-2] + (1, -1))[..., :part.shape[-1]]
                         for v in (hi, mag, np.ldexp(hi, e)))

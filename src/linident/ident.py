@@ -26,13 +26,12 @@ from .errors import (
 from . import dynsys
 from .dynsys import SystemSpec, TimeSeries, _require_finite, char_poly_of_sampled
 from .numkit import (
-    DEFAULT_RANK_TOL,
     MonicPolynomial,
     _as_vector,
     _binary_exponent,
+    _dd,
+    _dd_matmul,
     _positive,
-    _split,
-    _two_sum,
     condition_estimate,
     numerical_rank,
     poly_roots,
@@ -282,25 +281,16 @@ def _accepted(coeffs, offset, buf) -> bool:
     offset, in double-double, within the loop's own rounding bound
     (n+1) u (|offset| + |coeffs| · |w_i|), u = 2^-53. A non-finite value
     fails: the first one has a finite window, so its defect is inf or NaN.
-
-    The sum is ``_dd_matmul``'s Dot2 with every low part zero: the terms
-    those parts would add are zeros, whose signs the absolute value drops."""
+    Chunks of 4096 steps bound the double-double temporaries."""
     n = coeffs.size
     u = (n + 1) * np.finfo(float).epsneg
-    row = np.append(coeffs, 1.0)
+    row = _dd(np.append(coeffs, 1.0)[:, None])
     for j in range(0, buf.size - n, 4096):
         y = buf[j:j + 4096 + n]
         m = y.size - n
-        parts = (y, *_split(y))
-        hi = lo = 0.0
-        for i, (x, x1, x2) in enumerate(zip(row, *_split(row))):
-            w, w1, w2 = (v[i:i + m] for v in parts)  # entry k is y_{k+i}
-            p = x * w
-            hi, t = _two_sum(hi, p) if i else (p, 0.0)
-            lo = lo + t + (x1 * w1 - p + x1 * w2 + x2 * w1 + x2 * w2)
-        hi, lo = _two_sum(hi, lo)
-        defect = np.abs((hi - offset) + lo)
-        bound = _hankel(np.abs(y), 0, n, y.size - n) @ (u * np.abs(coeffs)) + u * abs(offset)
+        hi, lo, _ = _dd_matmul(_dd(_hankel(y, 0, n + 1, m)), row)
+        defect = np.abs((hi[:, 0] - offset) + lo[:, 0])
+        bound = _hankel(np.abs(y), 0, n, m) @ (u * np.abs(coeffs)) + u * abs(offset)
         if not np.all(defect <= bound):
             return False
     return True
@@ -322,7 +312,7 @@ def estimate_order(series: TimeSeries, n_max: int) -> int:
         i = np.arange(sizes[-1])
         inside = np.maximum.outer(i, i) < sizes[:, None, None]
         padded = np.where(inside, _hankel(series.values, 0, sizes[-1]), 0.0)
-        ranks = numerical_rank(padded, DEFAULT_RANK_TOL)
+        ranks = numerical_rank(padded)
         for m, next_rank in zip(sizes.tolist(), ranks.tolist()):
             if rank == m - 1 and next_rank < m:
                 return m - 1

@@ -5,16 +5,17 @@ polynomials, scaling-and-squaring matrix exponentials and Sylvester-matrix
 discriminants; roots, ranks and condition numbers come from LAPACK
 (``np.roots``, ``np.linalg.matrix_rank``, ``np.linalg.cond``). Targets small
 dense problems (n up to a few tens); no sparsity. Double-double (a float64
-pair hi + lo, |lo| <= ulp(hi) / 2) serves long series: ``_two_sum``,
-``_split`` and ``_dd_matmul``, plain ufuncs whose bits no BLAS kernel moves.
+pair hi + lo, |lo| <= ulp(hi) / 2) serves long series: ``_dd`` builds one
+from a float64 array, and ``_two_sum``, ``_split`` and ``_dd_matmul`` are
+plain ufuncs whose bits no BLAS kernel moves.
 
 ``char_poly``, ``mat_exp``, ``discriminant``, ``numerical_rank`` and
 ``condition_estimate`` also take stacks: leading axes in front of the matrix
 (or coefficient) axes, each slice handled as if it were passed alone. A
 single matrix is the unstacked case and keeps its scalar or
-``MonicPolynomial`` result. One rescale serves every rank, condition estimate
-and solve: the exact division by 2^e, e = ``_binary_exponent``; a rank or
-condition number whose sigma_max overflows is redone after it.
+``MonicPolynomial`` result. One rescale serves every rank, condition estimate,
+solve and block state: the exact division by 2^e, e = ``_binary_exponent``;
+a rank or condition number whose sigma_max overflows is redone after it.
 """
 
 from __future__ import annotations
@@ -119,8 +120,8 @@ def mat_exp(m, t: float = 1.0) -> np.ndarray:
     ``ldexp`` (exact, so s may pass 1023), and its series squared s times;
     past s of about 50 that amplifies an oscillatory slice's rounding 2^s-fold
     (a rotation at step 1e300 comes out as zeros). Every matrix of a stack
-    gets its own scaling and its own series length, so a slice comes out as
-    it would alone; one for which t*m overflows comes out NaN.
+    gets its own scaling, series length and squarings, so a slice comes out
+    as it would alone; one for which t*m overflows comes out NaN.
     """
     a = _as_square(m, stacked=True)
     if not np.isfinite(t):
@@ -143,7 +144,8 @@ def mat_exp(m, t: float = 1.0) -> np.ndarray:
         term /= k
         np.add(total, term, out=total, where=adding)
     for j in range(int(s.max(initial=0))):
-        total = np.where((s > j)[..., None, None], total @ total, total)
+        part = total[s > j]
+        total[s > j] = part @ part
     return total
 
 
@@ -262,6 +264,11 @@ def _split(x):
     t = x * (2.0**27 + 1)
     hi = t - (t - x)
     return (hi, x - hi) if scale is None else (hi * scale, (x - hi) * scale)
+
+
+def _dd(v) -> np.ndarray:
+    """The double-double array (v, 0): axis 0 holds (hi, lo)."""
+    return np.stack((v, np.zeros_like(v)))
 
 
 def _dd_matmul(a, b):

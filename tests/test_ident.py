@@ -337,8 +337,8 @@ class TestEstimateOrder:
     def _record_ranks(monkeypatch):
         ranked = []
 
-        def recording_rank(m, tol):
-            ranks = numerical_rank(m, tol)
+        def recording_rank(m, *tol):
+            ranks = numerical_rank(m, *tol)
             ranked.append((m, ranks))
             return ranks
 

@@ -16,7 +16,8 @@ from linident import (
     numerical_rank,
     poly_roots,
 )
-from linident.numkit import _dd_matmul, _norm1, _split, _two_sum, as_matrix
+from linident.ident import _hankel
+from linident.numkit import _dd, _dd_matmul, _norm1, _split, _two_sum, as_matrix
 
 
 def significant_bits(x: float) -> int:
@@ -29,6 +30,8 @@ def significant_bits(x: float) -> int:
 # the largest double whose 26-bit parts stay finite, subnormals, signed zeros
 EDGES = [1.5e308, -2.0**1000 * 1.2345, (2 - 2.0**-25) * 2.0**1023, 2.0**996, 2.0**997,
          5e-324, -3e-310, 2.0**-1022, 0.0, -0.0, 1.0, -1.0 / 3]
+# (windows, length) of the Hankel view that ident._accepted multiplies
+WINDOWS = (40, 7)
 
 
 class TestDoubleDouble:
@@ -63,15 +66,22 @@ class TestDoubleDouble:
         assert np.signbit(_split(np.array([-0.0]))[0]).all()
 
     @pytest.mark.parametrize("shape_a, shape_b", [((4, 5), (5, 3)), ((3, 2, 6), (6, 1)),
-                                                  ((1, 3), (2, 3, 7))])
+                                                  ((1, 3), (2, 3, 7)), (WINDOWS, (7, 1))])
     def test_product_against_the_exact_one(self, shape_a, shape_b):
         """hi + lo errs by at most m 2^-104 |a||b| (measured: 3 * 2^-106), hi is
         the correctly rounded exact product, and mag is |a_hi| @ |b_hi|;
-        leading axes broadcast."""
+        leading axes broadcast. WINDOWS gives the operands of
+        ``ident._accepted``: the read-only Hankel view of a series times a
+        column, every low part zero."""
         rng = np.random.default_rng(14)
-        a, b = (np.stack((h, h * rng.uniform(-1, 1, h.shape) * 2.0**-53))
-                for h in (rng.standard_normal(shape_a) * 10.0 ** rng.integers(-200, 200, shape_a),
-                          rng.standard_normal(shape_b)))
+        if shape_a == WINDOWS:
+            k = sum(shape_a) - 1
+            y = rng.standard_normal(k) * 10.0 ** rng.integers(-200, 200, k)
+            a, b = _dd(_hankel(y, 0, shape_a[1], shape_a[0])), _dd(rng.standard_normal(shape_b))
+        else:
+            a, b = (np.stack((h, h * rng.uniform(-1, 1, h.shape) * 2.0**-53))
+                    for h in (rng.standard_normal(shape_a) * 10.0 ** rng.integers(-200, 200, shape_a),
+                              rng.standard_normal(shape_b)))
         hi, lo, mag = _dd_matmul(a, b)
         assert hi.shape == lo.shape == mag.shape == np.broadcast_shapes(shape_a[:-1] + (1,),
                                                                         shape_b[:-2] + (1, shape_b[-1]))
