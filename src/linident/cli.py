@@ -36,7 +36,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("simulate", help="simulate a system to a series file")
     p.add_argument("--system", required=True, help="system spec file")
-    p.add_argument("--x0", required=True, help="initial state, comma-separated floats")
+    p.add_argument("--x0", required=True,
+                   help="initial state as --x0=v1,v2,... (the = lets v1 be negative)")
     p.add_argument("--len", dest="length", type=int, required=True, help="number of samples")
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="sampling step override (continuous systems)")
@@ -54,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("predict", help="continue a series from a model")
     p.add_argument("--model", required=True, help="model file")
-    p.add_argument("--seed-window", required=True, help="last n observed values, comma-separated")
+    p.add_argument("--seed-window", required=True,
+                   help="last n samples as --seed-window=v1,...,vn (the = lets v1 be negative)")
     p.add_argument("--steps", type=int, required=True, help="number of future samples")
     p.set_defaults(run=_run_predict)
 
@@ -70,7 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--property", required=True, choices=PROPERTIES, dest="prop")
     p.add_argument("--n", type=int, required=True, help="system dimension")
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--box", default="-1,1", help="sampling box as lo,hi")
+    p.add_argument("--box", default="-1,1",
+                   help="sampling box as --box=lo,hi (the = lets lo be negative)")
     p.add_argument("--seed", type=int, default=TrialConfig.seed, help="RNG seed (nonnegative integer)")
     p.add_argument("--tol", type=float, default=TrialConfig.success_tol, help="success tolerance")
     p.add_argument("--cond-cap", type=float, default=TrialConfig.cond_cap,

@@ -151,96 +151,91 @@ def _powers(a, x, length: int, b=None) -> np.ndarray:
     return states
 
 
-def _kept(hi, mag) -> np.ndarray:
-    """Per stacked system: max ``mag`` is finite, <= _CANCELLATION max |hi|."""
-    top = mag.max(axis=(-2, -1))
-    return np.isfinite(top) & (top <= _CANCELLATION * np.abs(hi).max(axis=(-2, -1)))
+def _kept(hi, mag) -> bool:
+    """Max ``mag`` is finite and at most _CANCELLATION max |hi|."""
+    top = mag.max()
+    return bool(np.isfinite(top) and top <= _CANCELLATION * np.abs(hi).max())
 
 
-def _doubling(rows, q, count: int, kept, square_last: bool):
+def _doubling(rows, q, count: int, square_last: bool):
     """(r_0 ... r_{count-1}, Q^(2^i), kept), r_{j + 2^i} = r_j Q^(2^i): round
     i is one product [r_0; ...; r_{2^i - 1}; Q^(2^i)] Q^(2^i), whose last
-    rows square Q^(2^i) (in the last round only if ``square_last``); each
-    part's ``_kept`` is anded into ``kept``, and no round runs once no
-    system is kept."""
-    while (have := rows.shape[-2]) < count and kept.any():
+    rows square Q^(2^i) (in the last round only if ``square_last``); the
+    rounds stop at the first part that is not ``_kept``."""
+    kept = True
+    while kept and (have := rows.shape[-2]) < count:
         new = min(have, count - have)
         top = rows[..., :new, :]
         if square_last or have + new < count:
             top = np.concatenate((top, q), axis=-2)
         hi, lo, mag = _dd_matmul(top, q)
-        for part in (slice(new), slice(new, None))[:1 + (new < hi.shape[-2])]:
-            kept = kept & _kept(hi[..., part, :], mag[..., part, :])
+        kept = _kept(hi[:new], mag[:new]) and (new == len(hi) or _kept(hi[new:], mag[new:]))
         out = np.stack((hi, lo))
         rows, q = np.concatenate((rows, out[..., :new, :]), axis=-2), out[..., new:, :]
     return rows, q, kept
 
 
-def _chain(p, phi, s, length: int, kept):
+def _chain(p, phi, s, length: int):
     """(y, kept): ``length`` outputs y_{64b + k} = Φ_k s_b, s_b = P^b s, for
-    double-double P = A^_BLOCK (2, ..., m, m) and Φ_k = c A^k (2, ..., 64,
-    m); equal leading axes stack systems; y is None once none is kept. The
-    states come by doubling (Q = P^T): 11 products, not 1 562 steps, for 1e5
-    outputs. Φ s_b is correctly rounded but for cancellation."""
+    double-double P = A^_BLOCK (2, m, m) and Φ_k = c A^k (2, 64, m); the
+    fills stop at the first product that is not ``_kept``. The states come
+    by doubling (Q = P^T): 11 products, not 1 562 steps, for 1e5 outputs.
+    Φ s_b is correctly rounded but for cancellation."""
     blocks = -(-length // _BLOCK)
-    y = np.empty(s.shape[:-1] + (length,))  # first: an oversized request fails here
-    states, _, kept = _doubling(_dd(s[..., None, :]), np.swapaxes(p, -1, -2), blocks, kept, False)
-    if not kept.any():
-        return None, kept
+    y = np.empty(length)  # first: an oversized request fails here
+    states, _, kept = _doubling(_dd(s[None]), np.swapaxes(p, -1, -2), blocks, False)
     for b in range(0, blocks, _FILL):
-        part = y[..., b * _BLOCK:(b + _FILL) * _BLOCK]
-        rows = states[..., b:b + _FILL, :]
+        if not kept:
+            break
+        part = y[b * _BLOCK:(b + _FILL) * _BLOCK]
+        rows = states[:, b:b + _FILL]
         # s_b / 2^e_b, max |s_b| in [2^(e_b - 1), 2^e_b), as columns: no product
         # overflows unless its output does; outer products run in unit strides
-        e = _binary_exponent(rows[0][..., None, :])[..., None, :]
-        hi, _, mag = _dd_matmul(phi, np.ldexp(np.swapaxes(rows, -1, -2), -e[None]).copy())
-        hi, mag, y_b = (np.swapaxes(v, -1, -2).reshape(v.shape[:-2] + (1, -1))[..., :part.shape[-1]]
-                        for v in (hi, mag, np.ldexp(hi, e)))
-        kept = kept & _kept(hi, mag)
-        part[...] = y_b[..., 0, :]
+        e = _binary_exponent(rows[0][:, None, :])
+        hi, _, mag = _dd_matmul(phi, np.ldexp(np.swapaxes(rows, -1, -2), -e).copy())
+        hi, mag, y_b = (v.T.ravel()[:part.size] for v in (hi, mag, np.ldexp(hi, e)))
+        kept = _kept(hi, mag)
+        part[:] = y_b
     return y, kept
 
 
 def _iterate(a, b, c, x, length: int) -> np.ndarray:
     """Outputs c x_i of x_{i+1} = A x_i (+ b), i < length; leading axes
-    stack systems. A long series takes ``_blocks``; a short one, or a
-    system whose blocks give way, the ``_powers`` loop from the start."""
-    kept = None
-    if length > _loop_length(a.shape[-1] + (b is not None)):
-        blocks, kept = _blocks(a, b, c, x, length)
-        if kept.all():
-            return blocks
+    stack systems. The series of ``_blocks`` where it gives one; otherwise
+    the ``_powers`` loop from the start."""
+    if (y := _blocks(a, b, c, x, length)) is not None:
+        return y
     states = _powers(a, x, length, b)
     y = np.vecdot(states, c[..., None, :])
     nan = np.isnan(y)
     if nan.any():  # 0 * inf: recompute without the entries c weights by 0
         s, w = states[nan], np.broadcast_to(c[..., None, :], states.shape)[nan]
         y[nan] = np.vecdot(np.where(w != 0, s, 0.0), w)
-    return y if kept is None or not kept.any() else np.where(kept[..., None], blocks, y)
+    return y
 
 
 def _blocks(a, b, c, x, length: int):
-    """(y, kept): the outputs of x_{i+1} = A x_i (+ b) through ``_chain``,
-    and whether each stacked system keeps them (y is None if none does);
-    for series past ``_loop_length`` states. An affine drive is one more
-    state entry, fixed at 1; Φ_k = c A^k and P = A^_BLOCK come by doubling.
-    A system is not kept when an entry of its Φ overflows or is subnormal
-    in float64, or a product on the way cancels past _CANCELLATION or is
-    not finite."""
-    n, m = a.shape[-1], a
-    if b is not None:
-        m = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-1]) + (n + 1, n + 1))
-        m[..., :n, :n], m[..., :n, n], m[..., n, n] = a, b, 1
-        c = np.append(c, np.zeros(c.shape[:-1] + (1,)), axis=-1)
-        x = np.append(x, np.ones(x.shape[:-1] + (1,)), axis=-1)
-    lead = np.broadcast_shapes(m.shape[:-2], c.shape[:-1], x.shape[:-1])
-    m, c, x = (np.broadcast_to(v, lead + v.shape[-k:]) for v, k in ((m, 2), (c, 1), (x, 1)))
+    """The outputs of one system's x_{i+1} = A x_i (+ b), i < length,
+    through ``_chain``, or None where the loop runs instead: for a stack of
+    systems, a series of at most ``_loop_length`` states, an entry of Φ that
+    overflows or is subnormal in float64, or a product on the way that
+    cancels past _CANCELLATION or is not finite. The one place that picks
+    blocks or loop. An affine drive is one more state entry, fixed at 1;
+    Φ_k = c A^k and P = A^_BLOCK come by doubling."""
+    n, drive = a.shape[-1], b is not None
+    if length <= _loop_length(n + drive) or a.ndim > 2 or max(np.ndim(b), c.ndim, x.ndim) > 1:
+        return None
+    if drive:
+        a = np.block([[a, b[:, None]], [np.zeros((1, n)), np.ones((1, 1))]])
+        c, x = np.append(c, 0.0), np.append(x, 1.0)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        phi, p, kept = _doubling(_dd(c[..., None, :]), _dd(m), _BLOCK, np.ones(lead, bool), True)
+        phi, p, kept = _doubling(_dd(c[None]), _dd(a), _BLOCK, True)
         mag = np.abs(phi[0])
-        kept &= np.all((mag == 0) | (mag >= np.finfo(float).tiny) & (mag <= np.finfo(float).max),
-                       axis=(-2, -1))
-        return _chain(p, phi, x, length, kept)
+        normal = (mag == 0) | (mag >= np.finfo(float).tiny) & (mag <= np.finfo(float).max)
+        if kept and normal.all():
+            y, kept = _chain(p, phi, x, length)
+            return y if kept else None
+    return None
 
 
 def observability_matrix(a, c) -> np.ndarray:

@@ -243,12 +243,12 @@ def predict(model: PredictionModel, seed, steps: int) -> TimeSeries:
     """Continue the recurrence past the last n observed values.
 
     The loop: step i is offset - coeffs · w_i in float64, w_i being the n
-    values before it. Past ``dynsys._loop_length`` windows, the prediction
-    is ``dynsys._blocks`` on the companion realisation (A the companion
-    matrix, drive offset e_n, c = e_n, x0 the seed), kept only if
-    ``_accepted``: then it solves the recurrence as closely as the loop,
-    step by step. Otherwise the loop runs from the start, and a diverging
-    prediction raises NonFinite naming its first non-finite step.
+    values before it. Where ``dynsys._blocks`` gives a series for the
+    companion realisation (A the companion matrix, drive offset e_n,
+    c = e_n, x0 the seed, steps + 1 states), the prediction is that series,
+    kept only if ``_accepted``: then it solves the recurrence as closely as
+    the loop, step by step. Otherwise the loop runs from the start, and a
+    diverging prediction raises NonFinite naming its first non-finite step.
     """
     window = _as_vector(seed, model.order, "seed window")
     if steps < 1:
@@ -259,14 +259,11 @@ def predict(model: PredictionModel, seed, steps: int) -> TimeSeries:
     buf[:n] = window
     out = buf[n:]
     with np.errstate(over="ignore", invalid="ignore"):
-        kept = False
-        if steps >= dynsys._loop_length(n + bool(offset)):
-            last = np.eye(n)[-1]
-            y, kept = dynsys._blocks(model.companion, offset * last if offset else None, last,
-                                     window, steps + 1)
-            if kept:
-                out[:] = y[1:]
-        if not (kept and _accepted(coeffs, offset, buf)):
+        last = np.eye(n)[-1]
+        y = dynsys._blocks(model.companion, offset * last if offset else None, last, window, steps + 1)
+        if y is not None:
+            out[:] = y[1:]
+        if y is None or not _accepted(coeffs, offset, buf):
             # window i is buf[i:i + n]: its last entry, out[i - 1], was written by
             # the step before. coeffs.dot runs the same 1-D kernel as coeffs @ w.
             dot = coeffs.dot

@@ -213,9 +213,13 @@ def write_model(report: IdentReport, path) -> None:
 
 
 def read_model(path) -> PredictionModel:
+    """A model document's model; an ``order`` must be the JSON integer len(coeffs)."""
     doc = _read_document(path)
-    return _from_document("model document", lambda: PredictionModel(
+    model = _from_document("model document", lambda: PredictionModel(
         coeffs=_number(doc, "coeffs", nested=True),
         offset=_number(doc, "offset") if "offset" in doc else None,
         step=_number(doc, "step") if "step" in doc else None,
     ))
+    if type(order := doc.get("order", model.order)) is not int or order != model.order:
+        raise ParseError(f"model document: order {order!r} does not match {model.order} coefficients")
+    return model

@@ -183,6 +183,16 @@ class TestPredictCommand:
         assert code == 2
         assert "format_version 99" in err.splitlines()[0]
 
+    @pytest.mark.parametrize("order", ["3", "1", "true", "2.0"])
+    def test_order_that_is_not_the_coefficient_count_exits_two(self, capsys, tmp_path, order):
+        model = tmp_path / "model.json"
+        model.write_text('{"format_version": 1, "order": ' + order + ', "coeffs": [1, -1]}\n')
+        code, out, err = run(capsys, "predict", "--model", str(model), "--seed-window", "1,2",
+                             "--steps", "3")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == (f"ParseError: model document: order {json.loads(order)!r} "
+                                       "does not match 2 coefficients")
+
 
 class TestObservabilityCommand:
     def test_unobservable_identity(self, capsys, tmp_path):

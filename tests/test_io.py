@@ -200,10 +200,13 @@ class TestInvalidValues:
         (io.read_model, '"coeffs": [1.0', "bad document .*: Expecting"),
         (io.read_system, '"kind": "discrete", "A": [[1]]', "is missing field 'c'"),
         (io.read_model, '"step": 0.5', "is missing field 'coeffs'"),
+        (io.read_model, '"order": 3, "coeffs": [1.0, -1.0]', "order 3 does not match 2 coefficients"),
+        (io.read_model, '"order": true, "coeffs": [1.0]', "order True does not match 1 coefficients"),
+        (io.read_model, '"order": 1.0, "coeffs": [1.0]', "order 1.0 does not match 1 coefficients"),
     ], ids=["kind", "inf-entry", "shape", "object-matrix", "inf-coeff", "step", "list-offset",
             "inf-step", "inf-offset", "nan-offset", "empty-coeffs", "matrix-coeffs", "bool-c",
             "string-step", "null-entry", "bool-coeffs", "bool-offset", "bool-step", "huge-int",
-            "truncated", "no-c", "no-coeffs"])
+            "truncated", "no-c", "no-coeffs", "wrong-order", "bool-order", "float-order"])
     def test_failed_validation_is_a_parse_error(self, tmp_path, reader, body, message):
         p = tmp_path / "doc.json"
         p.write_text('{"format_version": 1, ' + body + "}\n")

@@ -5,16 +5,18 @@ residual check, prediction, simulation and the series writer ran one sample
 at a time. The vectorised paths of identification and the writer do the
 same arithmetic in the same order, so on a long series each of their
 results must be bitwise equal to its loop. Simulation and prediction do not
-repeat their loops' arithmetic. Past ``dynsys._loop_length`` states both run
-one block path, ``dynsys._blocks``, in double-double: a doubling scan of the
-states between blocks of 64 outputs, each block filled by one correctly
-rounded product; a prediction is the simulation of the model's companion
-realisation, kept only if ``ident._accepted``. Both are held to an exact
-reference instead: simulation's error must be at most twice the loop's, on
-rotation systems and on their non-normal companion matrices alike, and
-prediction's within half an ulp of its largest value. Where their blocks
-cannot be used, would cancel, or fail prediction's acceptance test, each
-must equal its loop bit for bit.
+repeat their loops' arithmetic. For one system past ``dynsys._loop_length``
+states both run one block path, ``dynsys._blocks``, in double-double: a
+doubling scan of the states between blocks of 64 outputs, each block filled
+by one correctly rounded product; a prediction is the simulation of the
+model's companion realisation, kept only if ``ident._accepted``. ``_blocks``
+alone decides between blocks and loop, and the threshold is pinned on both
+sides for both callers. Both are held to an exact reference instead:
+simulation's error must be at most twice the loop's, on rotation systems and
+on their non-normal companion matrices alike, and prediction's within half
+an ulp of its largest value. Where their blocks cannot be used (a stack of
+systems, a short series), would cancel, or fail prediction's acceptance
+test, each must equal its loop bit for bit.
 """
 
 import math
@@ -200,22 +202,29 @@ def decimal_predict(model, seed, steps):
 
 @pytest.fixture
 def block_results(monkeypatch):
-    """For each prediction that tried the blocks: True where they were kept
-    (``dynsys._blocks`` kept the system and ``ident._accepted`` held)."""
-    results = []
-    blocks, accepted = dynsys._blocks, ident._accepted
+    """For each prediction that built blocks (``dynsys._blocks`` ran
+    ``_doubling``): True where they were kept (``_blocks`` gave a series and
+    ``ident._accepted`` held)."""
+    results, built = [], []
+    blocks, doubling, accepted = dynsys._blocks, dynsys._doubling, ident._accepted
 
     def spy_blocks(*args):
-        y, kept = blocks(*args)
-        if not kept:
+        built.clear()
+        y = blocks(*args)
+        if y is None and built:
             results.append(False)
-        return y, kept
+        return y
+
+    def spy_doubling(*args):
+        built.append(True)
+        return doubling(*args)
 
     def spy_accepted(*args):
         results.append(accepted(*args))
         return results[-1]
 
     monkeypatch.setattr(dynsys, "_blocks", spy_blocks)
+    monkeypatch.setattr(dynsys, "_doubling", spy_doubling)
     monkeypatch.setattr(ident, "_accepted", spy_accepted)
     return results
 
@@ -284,24 +293,19 @@ def test_clustered_slow_rotations_run_the_loop(block_results):
 
 def test_cancelling_blocks_give_way_per_system():
     """Simulating that companion realisation (c = e_n): its block products
-    cancel past _CANCELLATION, so the system runs the loop, bit for bit.
-    Stacked with a rotation system, only the cancelling system does; the
-    other keeps the blocks it gets alone."""
+    cancel past _CANCELLATION, so the system runs the loop, bit for bit,
+    while a rotation system alone keeps its blocks."""
     rng = np.random.default_rng(18)
     angles = rng.uniform(0.01, 0.05, 3)
     roots = np.concatenate((np.exp(1j * angles), np.exp(-1j * angles)))
     slow = PredictionModel(np.poly(roots)[::-1][:-1].real).companion
     fast = mat_exp(rotations(6, rng), STEP)
     c, x = np.eye(6)[-1], rng.uniform(-1, 1, 6)
-    assert not dynsys._blocks(slow, None, c, x, LENGTH)[1]
-    loop = reference_iterate(slow, None, c, x, LENGTH)
-    assert bitwise_equal(_iterate(slow, None, c, x, LENGTH), loop)
-    y, kept = dynsys._blocks(np.stack((slow, fast)), None, c, x, LENGTH)
-    assert kept.tolist() == [False, True]
-    stacked = _iterate(np.stack((slow, fast)), None, c, x, LENGTH)
-    assert bitwise_equal(stacked[0], loop)
-    assert bitwise_equal(stacked[1], _iterate(fast, None, c, x, LENGTH))
-    assert bitwise_equal(stacked[1], y[1])
+    assert dynsys._blocks(slow, None, c, x, LENGTH) is None
+    assert bitwise_equal(_iterate(slow, None, c, x, LENGTH), reference_iterate(slow, None, c, x, LENGTH))
+    y = dynsys._blocks(fast, None, c, x, LENGTH)
+    assert y is not None
+    assert bitwise_equal(_iterate(fast, None, c, x, LENGTH), y)
 
 
 def test_diverging_prediction_names_the_loops_step(block_results):
@@ -392,16 +396,16 @@ def test_iterate(n, drive, stack):
 def test_iterate_companion(n, drive, stack):
     """Non-normal systems: a companion matrix C of slow rotations has |C^64|
     far above |C^64 x|. The blocks must still hold the loop's accuracy; at
-    n = 8, where their cancellation ratio reaches 1e3 to 1e4, they are kept
-    and err by at most an ulp of the largest sample (the loop: 4e-12 to
-    2e-10)."""
+    n = 8, where their cancellation ratio reaches 1e3 to 1e4, a single
+    system keeps them and errs by at most an ulp of the largest sample (the
+    loop: 4e-12 to 2e-10). A stack runs the loop."""
     a, b, c, x = iterate_case(n, drive, stack)
     a = companion(a)
-    if n == 8:
-        y, kept = dynsys._blocks(a, b, c, x, EXACT_LENGTH)
-        assert np.all(kept)
+    if n == 8 and not stack:
+        y = dynsys._blocks(a, b, c, x, EXACT_LENGTH)
+        assert y is not None
         exact = decimal_iterate(a, b, c, x, EXACT_LENGTH)
-        assert (relative_error(y, exact) <= np.finfo(float).eps).all()
+        assert relative_error(y, exact) <= np.finfo(float).eps
     assert_loop_accuracy(a, b, c, x)
 
 
@@ -413,8 +417,7 @@ def dyadic(values):
 
 
 @pytest.mark.parametrize("tails", [False, True], ids=["no-tails", "tails"])
-@pytest.mark.parametrize("stack", [(), (3,)], ids=["single", "stacked"])
-def test_chain(tails, stack):
+def test_chain(tails):
     """``_chain`` against the exact outputs Φ_k P^b s, in integer arithmetic
     on the floats' exact binary values: every output is the correctly
     rounded exact value, whether the series ends on a whole block or in a
@@ -423,26 +426,66 @@ def test_chain(tails, stack):
     rng = np.random.default_rng(19)
     m, blocks = 3, 300
     length = blocks * dynsys._BLOCK - (dynsys._BLOCK - 37 if tails else 0)
-    hi = np.linalg.qr(rng.standard_normal(stack + (m, m)))[0]
+    hi = np.linalg.qr(rng.standard_normal((m, m)))[0]
     p = np.stack((hi, hi * rng.uniform(-1, 1, hi.shape) * 2.0**-54))
-    phi = rng.uniform(-1, 1, stack + (dynsys._BLOCK, m))
-    s = rng.uniform(-1, 1, stack + (m,))
-    y, kept = dynsys._chain(p, np.stack((phi, np.zeros_like(phi))), s, length, np.ones(stack, bool))
-    assert y.shape == stack + (length,)
-    assert np.all(kept)
-    for i in np.ndindex(stack):
-        # P = hi + lo as one integer matrix over 2^ep
-        pm, ep = dyadic(np.concatenate((p[0][i].ravel(), p[1][i].ravel())))
-        pm = [[pm[r * m + j] + pm[m * m + r * m + j] for j in range(m)] for r in range(m)]
-        f, ef = dyadic(phi[i].ravel())
-        state, es = dyadic(s[i])
-        want = []
-        for b in range(blocks):  # int / int rounds correctly
-            scale = 1 << (ef + es + b * ep)
-            want.extend(sum(f[k * m + j] * state[j] for j in range(m)) / scale
-                        for k in range(dynsys._BLOCK))
-            state = [sum(a * v for a, v in zip(row, state)) for row in pm]
-        assert y[i].tolist() == want[:length]
+    phi = rng.uniform(-1, 1, (dynsys._BLOCK, m))
+    s = rng.uniform(-1, 1, m)
+    y, kept = dynsys._chain(p, np.stack((phi, np.zeros_like(phi))), s, length)
+    assert y.shape == (length,)
+    assert kept is True
+    # P = hi + lo as one integer matrix over 2^ep
+    pm, ep = dyadic(np.concatenate((p[0].ravel(), p[1].ravel())))
+    pm = [[pm[r * m + j] + pm[m * m + r * m + j] for j in range(m)] for r in range(m)]
+    f, ef = dyadic(phi.ravel())
+    state, es = dyadic(s)
+    want = []
+    for b in range(blocks):  # int / int rounds correctly
+        scale = 1 << (ef + es + b * ep)
+        want.extend(sum(f[k * m + j] * state[j] for j in range(m)) / scale
+                    for k in range(dynsys._BLOCK))
+        state = [sum(a * v for a, v in zip(row, state)) for row in pm]
+    assert y.tolist() == want[:length]
+
+
+@pytest.mark.parametrize("n", NS)
+@pytest.mark.parametrize("drive", [False, True], ids=["homogeneous", "affine"])
+def test_stacked_long_series_is_the_loop(n, drive):
+    """``_blocks`` serves one system: a long series of a stack, whether A,
+    or only b, c and x0 carry the stack, and for rotation systems and their
+    companion matrices alike, runs the loop, bit for bit."""
+    a, b, c, x = iterate_case(n, drive, (3,))
+    for a in (a, companion(a), a[0]):
+        assert dynsys._blocks(a, b, c, x, LENGTH) is None
+        assert bitwise_equal(_iterate(a, b, c, x, LENGTH), reference_iterate(a, b, c, x, LENGTH))
+
+
+@pytest.mark.parametrize("n", NS)
+@pytest.mark.parametrize("drive", [False, True], ids=["homogeneous", "affine"])
+def test_threshold_edge(series, block_results, n, drive):
+    """``_blocks`` owns the threshold L = ``_loop_length(m)``, m = n + 1 with
+    a drive or offset: a simulation of L states is the loop's, of L + 1 the
+    blocks'; a prediction of L - 1 steps (L states with the seed's last) is
+    the loop's, of L steps the blocks', kept."""
+    rng = np.random.default_rng(23)
+    a = mat_exp(rotations(n, rng), STEP)
+    b = rng.uniform(-1, 1, n) if drive else None
+    c, x = rng.uniform(-1, 1, (2, n))
+    edge = dynsys._loop_length(n + drive)
+    assert dynsys._blocks(a, b, c, x, edge) is None
+    assert bitwise_equal(_iterate(a, b, c, x, edge), reference_iterate(a, b, c, x, edge))
+    y = dynsys._blocks(a, b, c, x, edge + 1)
+    assert y is not None
+    assert bitwise_equal(_iterate(a, b, c, x, edge + 1), y)
+
+    model = unit_circle_model(n, OFFSET if drive else None)
+    seed, last = series.values[-n:], np.eye(n)[-1]
+    got = predict(model, seed, edge - 1)
+    assert block_results == []
+    assert bitwise_equal(got.values, loop_prediction(model, seed, edge - 1))
+    got = predict(model, seed, edge)
+    assert block_results == [True]
+    y = dynsys._blocks(model.companion, OFFSET * last if drive else None, last, seed, edge + 1)
+    assert bitwise_equal(got.values, y[1:])
 
 
 @pytest.mark.parametrize("n", NS)
