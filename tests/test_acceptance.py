@@ -11,7 +11,6 @@ import time
 import timeit
 
 import numpy as np
-import pytest
 
 from linident import (
     PredictionModel,
@@ -25,7 +24,6 @@ from linident import (
     hankel,
     identify,
     identify_affine,
-    is_observable,
     krylov_matrix,
     mat_exp,
     mc_estimate,

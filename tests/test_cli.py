@@ -8,6 +8,7 @@ import pytest
 from linident import SystemSpec, identify, predict, simulate_discrete
 from linident import io
 from linident.cli import main
+from _exact import fibonacci
 
 
 def run(capsys, *argv):
@@ -395,12 +396,9 @@ class TestSimulateCommand:
                            "--x0", "1,1", "--len", "1476", "--out", str(out))
         assert (code, err) == (0, "")
         y = io.read_series(out).values
-        exact = [1, 1]  # F_1 .. F_1476
-        while len(exact) < 1476:
-            exact.append(exact[-2] + exact[-1])
         assert y.size == 1476
         # every sample is the correctly rounded F_k, the last one included
-        assert y.tolist() == [float(f) for f in exact]
+        assert y.tolist() == [float(f) for f in fibonacci(1476)]
 
 
 class TestMonteCarloCommand:

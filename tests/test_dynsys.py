@@ -22,6 +22,7 @@ from linident import (
     simulate_discrete,
 )
 from linident.dynsys import _iterate, _powers
+from _exact import bitwise_equal, fibonacci
 from _util import draw_discrete
 
 
@@ -32,14 +33,6 @@ FIB = np.array([[0.0, 1.0], [1.0, 1.0]])
 INT_A = np.array([[-445.0, 631, 342, -994], [-212, 714, 109, -932],
                   [530, 459, 693, -648], [-821, 726, -955, 83]])
 INT_C = np.array([-8.0, -4, 0, -1])
-
-
-def fibonacci(m: int) -> int:
-    """F_m as an exact integer, F_1 = F_2 = 1."""
-    a, b = 0, 1
-    for _ in range(m):
-        a, b = b, a + b
-    return a
 
 
 class TestSimulateDiscrete:
@@ -82,7 +75,7 @@ class TestSimulateDiscrete:
         with np.errstate(over="ignore"):
             assert _iterate(FIB, None, np.array([0.0, 1.0]), np.ones(2), 1476)[-1] == math.inf
         # the double-double blocks round every F_k correctly, F_1476 included
-        np.testing.assert_array_equal(y, [float(fibonacci(k)) for k in range(1, 1477)])
+        np.testing.assert_array_equal(y, [float(f) for f in fibonacci(1476)])
 
     def test_zero_weight_in_a_stack(self):
         # a stack runs the loop: each c reads one entry of the same states,
@@ -367,11 +360,6 @@ def reference_affine_offset(a, b, c):
         rows[j] = partial
         partial = partial @ a + c
     return float(partial @ b - g @ (rows @ b))
-
-
-def bitwise_equal(x, y):
-    x, y = np.asarray(x), np.asarray(y)
-    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,6 +31,7 @@ from linident import (
     simulate_discrete,
     verify_conjugacy,
 )
+from _exact import exact, exact_solve
 from _util import draw_continuous, draw_discrete, greedy_spectrum_distance
 
 
@@ -220,28 +220,6 @@ class TestIdentifyForms:
         report = fit(TimeSeries(y), n, k)
         assert report.model.order == n and report.window_start == k
 
-    @staticmethod
-    def exact_solution(y, form, n, k):
-        """The form's coefficients (and offset) from the same float window in
-        exact rational arithmetic; least squares through its normal equations."""
-        v = [Fraction(t) for t in y.tolist()]
-        rows = len(v) - n - k if form == "overdetermined" else n + (form == "affine")
-        h = [[v[k + i + j] for j in range(n)] + [Fraction(1)] * (form == "affine")
-             for i in range(rows)]
-        rhs = [v[k + n + i] for i in range(rows)]
-        if form == "overdetermined":
-            h, rhs = ([[sum(r[p] * r[q] for r in h) for q in range(n)] for p in range(n)],
-                      [sum(r[p] * b for r, b in zip(h, rhs)) for p in range(n)])
-        m = [row + [b] for row, b in zip(h, rhs)]  # Gauss-Jordan, exact
-        for i in range(len(m)):
-            m[i:] = sorted(m[i:], key=lambda row: row[i] == 0)  # a nonzero pivot first
-            m[i] = [t / m[i][i] for t in m[i]]
-            for r in range(len(m)):
-                if r != i:
-                    m[r] = [a - m[r][i] * b for a, b in zip(m[r], m[i])]
-        sol = [row[-1] for row in m]
-        return [-t for t in sol[:n]] + sol[n:]
-
     @pytest.mark.parametrize("k", [0, 2])
     @pytest.mark.parametrize("form", FORMS)
     def test_model_document_bits(self, form, k):
@@ -261,9 +239,13 @@ class TestIdentifyForms:
         assert docs[0] == docs[1]
         model = reports[0].model
         got = list(model.coeffs) + ([model.offset] if form == "affine" else [])
-        want = self.exact_solution(series.values, form, 4, k)
+        y, n = series.values, 4
+        rows = len(y) - n - k if form == "overdetermined" else n + (form == "affine")
+        windows = [list(y[k + i:k + i + n]) + [1.0] * (form == "affine") for i in range(rows)]
+        sol = exact_solve(windows, y[k + n:k + n + rows])  # least squares if rows > n
+        want = [-t for t in sol[:n]] + sol[n:]
         bound = 4 * reports[0].condition_estimate * np.finfo(float).eps * max(map(abs, want))
-        assert max(abs(Fraction(g) - w) for g, w in zip(got, want)) <= bound
+        assert max(abs(exact(g) - w) for g, w in zip(got, want)) <= bound
 
 
 class TestPredict:

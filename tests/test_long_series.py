@@ -11,17 +11,16 @@ doubling scan of the states between blocks of 64 outputs, each block filled
 by one correctly rounded product; a prediction is the simulation of the
 model's companion realisation, kept only if ``ident._accepted``. ``_blocks``
 alone decides between blocks and loop, and the threshold is pinned on both
-sides for both callers. Both are held to an exact reference instead:
-simulation's error must be at most twice the loop's, on rotation systems and
-on their non-normal companion matrices alike, and prediction's within half
-an ulp of its largest value. Where their blocks cannot be used (a stack of
-systems, a short series), would cancel, or fail prediction's acceptance
-test, each must equal its loop bit for bit.
+sides for both callers. Both are held to the exact series instead,
+``_exact.exact_series`` (40-digit decimal): simulation's error must be at
+most twice the loop's, on rotation systems and on their non-normal
+companion matrices alike, and prediction's within half an ulp of its
+largest value. Where their blocks cannot be used (a stack of systems, a
+short series), would cancel, or fail prediction's acceptance test, each
+must equal its loop bit for bit.
 """
 
 import math
-from decimal import Decimal, localcontext
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,6 +40,7 @@ from linident.cli import _emit_series
 from linident.dynsys import _iterate
 from linident.ident import PredictionModel, _hankel, _solve_windows, _window_residual
 from linident.numkit import char_poly, condition_estimate, mat_exp
+from _exact import bitwise_equal, dyadic, exact_series
 
 LENGTH = 20_000
 EXACT_LENGTH = 5_000  # steps of the 40-digit reference
@@ -81,13 +81,13 @@ def reference_affine(y, k, n):
     return -sol[0, :n], float(sol[0, n]), float(cond[0])
 
 
-def reference_predict(coeffs, offset, seed, steps):
+def reference_predict(model, seed, steps):
+    offset = 0.0 if model.offset is None else model.offset
     window = np.asarray(seed, dtype=float)
     out = np.empty(steps)
     for i in range(steps):
-        nxt = -(coeffs @ window) + offset
-        out[i] = nxt
-        window = np.concatenate((window[1:], [nxt]))
+        out[i] = -(model.coeffs @ window) + offset
+        window = np.concatenate((window[1:], out[i:i + 1]))
     return out
 
 
@@ -124,10 +124,6 @@ def series():
     sampled = mat_exp(rotations(8, rng), STEP)
     y = _iterate(sampled, None, rng.uniform(-1, 1, 8), rng.uniform(-1, 1, 8), LENGTH)
     return TimeSeries(y + OFFSET, step=STEP)
-
-
-def bitwise_equal(a, b):
-    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
 
 
 @pytest.mark.parametrize("n", NS)
@@ -186,20 +182,6 @@ def unit_circle_model(n, offset):
     return PredictionModel(np.poly(roots)[::-1][:-1].real, offset=offset, step=STEP)
 
 
-def decimal_predict(model, seed, steps):
-    """``reference_predict`` in 40-digit decimal arithmetic on the same
-    float64 inputs: the exact continuation, up to about 1e-40 relative."""
-    with localcontext(prec=40):
-        coeffs = [Decimal(float(v)) for v in model.coeffs]
-        window = [Decimal(float(v)) for v in seed]
-        offset = Decimal(0.0 if model.offset is None else model.offset)
-        out = []
-        for _ in range(steps):
-            window = window[1:] + [offset - sum(a * w for a, w in zip(coeffs, window))]
-            out.append(float(window[-1]))
-    return np.array(out)
-
-
 @pytest.fixture
 def block_results(monkeypatch):
     """For each prediction that built blocks (``dynsys._blocks`` ran
@@ -229,9 +211,11 @@ def block_results(monkeypatch):
     return results
 
 
-def loop_prediction(model, seed, steps):
-    return reference_predict(model.coeffs, 0.0 if model.offset is None else model.offset,
-                             seed, steps)
+def companion_realisation(model):
+    """(A, b, c) of the system whose outputs from x0 = seed are the seed's
+    last value and then the prediction: the realisation ``predict`` runs."""
+    last = np.eye(model.order)[-1]
+    return model.companion, None if model.offset is None else model.offset * last, last
 
 
 @pytest.mark.parametrize("n", NS)
@@ -246,9 +230,9 @@ def test_predict(series, block_results, n, offset):
     got = predict(model, seed, EXACT_LENGTH)
     assert got.step == STEP
     assert block_results == [True]
-    exact = decimal_predict(model, seed, EXACT_LENGTH)
+    exact = exact_series(*companion_realisation(model), seed, EXACT_LENGTH + 1)[1:]
     error = relative_error(got.values, exact)
-    assert error <= relative_error(loop_prediction(model, seed, EXACT_LENGTH), exact)
+    assert error <= relative_error(reference_predict(model, seed, EXACT_LENGTH), exact)
     assert error <= np.finfo(float).epsneg
 
 
@@ -259,7 +243,7 @@ def test_short_predictions_are_the_loop(series, block_results, n, offset):
     seed = series.values[-n:]
     for steps in (1, 3, dynsys._loop_length(n + (offset is not None)) - 1):
         got = predict(model, seed, steps)
-        assert bitwise_equal(got.values, loop_prediction(model, seed, steps))
+        assert bitwise_equal(got.values, reference_predict(model, seed, steps))
     assert block_results == []
 
 
@@ -268,7 +252,7 @@ def test_acceptance_bound_is_the_loops_rounding(series, n):
     """The loop's own steps pass; a step moved by three times its bound fails."""
     model = unit_circle_model(n, OFFSET)
     seed = series.values[-n:]
-    buf = np.concatenate((seed, loop_prediction(model, seed, LENGTH)))
+    buf = np.concatenate((seed, reference_predict(model, seed, LENGTH)))
     assert ident._accepted(model.coeffs, OFFSET, buf)
     j = n + LENGTH // 2
     buf[j] += 3 * (n + 1) * 2.0**-53 * (OFFSET + np.abs(model.coeffs) @ np.abs(buf[j - n:j]))
@@ -286,9 +270,28 @@ def test_clustered_slow_rotations_run_the_loop(block_results):
     seed = rng.uniform(-1, 1, 6)
     got = predict(model, seed, LENGTH)
     assert block_results == [False]
-    want = loop_prediction(model, seed, LENGTH)
+    want = reference_predict(model, seed, LENGTH)
     assert np.isfinite(want).all()
     assert bitwise_equal(got.values, want)
+
+
+def test_refused_blocks_give_the_loop(series, block_results):
+    """Three pairs of roots clustered near -1 (moduli 1, 0.998 and 1.001):
+    ``_blocks`` gives a series, but its defects exceed the acceptance bound
+    some 2000-fold, so ``predict`` returns the loop's bits, which differ
+    from the blocks'. (The refused blocks err by 1.3e-12 of the largest
+    value against the exact series; the loop by 4.3e-9.)"""
+    poly = np.ones(1)
+    for p, q in [(2 - 2**-6, 1 + 2**-9), (2 - 2**-5, 1 - 2**-8), (2 - 2**-5, 1.0)]:
+        poly = np.convolve(poly, [1.0, p, q])  # exact: few-bit dyadic coefficients
+    model = PredictionModel(poly[:0:-1])
+    seed = series.values[-6:]
+    got = predict(model, seed, EXACT_LENGTH)
+    want = reference_predict(model, seed, EXACT_LENGTH)
+    assert bitwise_equal(got.values, want)
+    assert block_results == [False]
+    y = dynsys._blocks(*companion_realisation(model), seed, EXACT_LENGTH + 1)
+    assert y is not None and not np.array_equal(y[1:], want)
 
 
 def test_cancelling_blocks_give_way_per_system():
@@ -313,7 +316,7 @@ def test_diverging_prediction_names_the_loops_step(block_results):
     start, so NonFinite names its first non-finite step."""
     model = PredictionModel([-1.5])
     with np.errstate(over="ignore"):
-        first = int(np.argmin(np.isfinite(loop_prediction(model, [1.0], 3000)))) + 1
+        first = int(np.argmin(np.isfinite(reference_predict(model, [1.0], 3000)))) + 1
     assert 1700 < first < 1800  # 1.5^1751 > 1.8e308
     with pytest.raises(NonFinite, match=f"^prediction diverges: step {first} of 3000 is not finite$"):
         predict(model, [1.0], 3000)
@@ -331,29 +334,15 @@ def test_high_orders_run_the_loop(block_results, n):
     assert dynsys._loop_length(n + 1) > 10_000
     got = predict(model, seed, 10_000)
     assert block_results == []
-    assert bitwise_equal(got.values, loop_prediction(model, seed, 10_000))
-
-
-def decimal_iterate(a, b, c, x, length):
-    """``reference_iterate`` in 40-digit decimal arithmetic on the same
-    float64 inputs: the exact series, up to about 1e-40 relative."""
-    exact = np.vectorize(lambda v: Decimal(float(v)), otypes=[object])
-    with localcontext(prec=40):
-        a, c, x = exact(a), exact(c), exact(x)
-        b = None if b is None else exact(b)
-        y = np.empty(x.shape[:-1] + (length,), dtype=object)
-        for i in range(length):
-            y[..., i] = np.vecdot(c, x)
-            x = np.matvec(a, x) if b is None else np.matvec(a, x) + b
-    return y.astype(float)
+    assert bitwise_equal(got.values, reference_predict(model, seed, 10_000))
 
 
 def relative_error(y, exact):
-    """Largest |y - exact| of each series, relative to its largest |exact|."""
-    return np.abs(y - exact).max(axis=-1) / np.abs(exact).max(axis=-1)
+    """Largest |y - exact|, relative to the largest |exact|."""
+    return np.abs(y - exact).max() / np.abs(exact).max()
 
 
-def iterate_case(n, drive, stack):
+def iterate_case(n, drive, stack=()):
     """A sampled rotation system (stacked on ``stack``), its drive or None,
     c and x0."""
     rng = np.random.default_rng(7 + n)
@@ -373,47 +362,43 @@ def companion(a):
 
 
 def assert_loop_accuracy(a, b, c, x):
-    """``_iterate``'s error against the exact series is at most twice the loop's."""
-    exact = decimal_iterate(a, b, c, x, EXACT_LENGTH)
+    """``_iterate``'s error against the exact series is at most twice the
+    loop's; returns that error."""
+    exact = exact_series(a, b, c, x, EXACT_LENGTH)
     got = relative_error(_iterate(a, b, c, x, EXACT_LENGTH), exact)
     loop = relative_error(reference_iterate(a, b, c, x, EXACT_LENGTH), exact)
-    assert (got <= 2 * loop).all(), (got, loop)
+    assert got <= 2 * loop, (got, loop)
+    return got
+
+
+# one system each (the ids keep "single"): a stack runs the loop, bit for
+# bit, as test_stacked_long_series_is_the_loop checks
+SINGLE = pytest.mark.parametrize("drive", [False, True], ids=["single-homogeneous", "single-affine"])
 
 
 @pytest.mark.parametrize("n", NS)
-@pytest.mark.parametrize("drive", [False, True], ids=["homogeneous", "affine"])
-@pytest.mark.parametrize("stack", [(), (3,)], ids=["single", "stacked"])
-def test_iterate(n, drive, stack):
-    a, b, c, x = iterate_case(n, drive, stack)
+@SINGLE
+def test_iterate(n, drive):
+    a, b, c, x = iterate_case(n, drive)
     if n == 1 and not drive:  # A = exp(0) = [[1]]: every path is exact
         assert bitwise_equal(_iterate(a, b, c, x, LENGTH), reference_iterate(a, b, c, x, LENGTH))
     assert_loop_accuracy(a, b, c, x)
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
-@pytest.mark.parametrize("drive", [False, True], ids=["homogeneous", "affine"])
-@pytest.mark.parametrize("stack", [(), (3,)], ids=["single", "stacked"])
-def test_iterate_companion(n, drive, stack):
+@SINGLE
+def test_iterate_companion(n, drive):
     """Non-normal systems: a companion matrix C of slow rotations has |C^64|
     far above |C^64 x|. The blocks must still hold the loop's accuracy; at
-    n = 8, where their cancellation ratio reaches 1e3 to 1e4, a single
-    system keeps them and errs by at most an ulp of the largest sample (the
-    loop: 4e-12 to 2e-10). A stack runs the loop."""
-    a, b, c, x = iterate_case(n, drive, stack)
+    n = 8, where their cancellation ratio reaches 1e3 to 1e4, they are kept
+    and err by at most an ulp of the largest sample (the loop: 4e-12 to
+    2e-10)."""
+    a, b, c, x = iterate_case(n, drive)
     a = companion(a)
-    if n == 8 and not stack:
-        y = dynsys._blocks(a, b, c, x, EXACT_LENGTH)
-        assert y is not None
-        exact = decimal_iterate(a, b, c, x, EXACT_LENGTH)
-        assert relative_error(y, exact) <= np.finfo(float).eps
-    assert_loop_accuracy(a, b, c, x)
-
-
-def dyadic(values):
-    """(integers, e): each float of ``values`` is exactly its integer / 2^e."""
-    exact = [Fraction(v) for v in values]
-    e = max(f.denominator.bit_length() - 1 for f in exact)
-    return [int(f * 2**e) for f in exact], e
+    error = assert_loop_accuracy(a, b, c, x)
+    if n == 8:  # then _iterate's series is the blocks'
+        assert dynsys._blocks(a, b, c, x, EXACT_LENGTH) is not None
+        assert error <= np.finfo(float).eps
 
 
 @pytest.mark.parametrize("tails", [False, True], ids=["no-tails", "tails"])
@@ -478,13 +463,13 @@ def test_threshold_edge(series, block_results, n, drive):
     assert bitwise_equal(_iterate(a, b, c, x, edge + 1), y)
 
     model = unit_circle_model(n, OFFSET if drive else None)
-    seed, last = series.values[-n:], np.eye(n)[-1]
+    seed = series.values[-n:]
     got = predict(model, seed, edge - 1)
     assert block_results == []
-    assert bitwise_equal(got.values, loop_prediction(model, seed, edge - 1))
+    assert bitwise_equal(got.values, reference_predict(model, seed, edge - 1))
     got = predict(model, seed, edge)
     assert block_results == [True]
-    y = dynsys._blocks(model.companion, OFFSET * last if drive else None, last, seed, edge + 1)
+    y = dynsys._blocks(*companion_realisation(model), seed, edge + 1)
     assert bitwise_equal(got.values, y[1:])
 
 

@@ -1,6 +1,5 @@
 import math
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,12 +17,7 @@ from linident import (
 )
 from linident.ident import _hankel
 from linident.numkit import _dd, _dd_matmul, _norm1, _split, _two_sum, as_matrix
-
-
-def significant_bits(x: float) -> int:
-    """Number of bits from the leading to the last set bit of |x|; 0 for 0."""
-    num = abs(Fraction(x).numerator)
-    return (num >> ((num & -num).bit_length() - 1)).bit_length() if num else 0
+from _exact import exact, exact_char_poly, significant_bits
 
 
 # exponents across float64's range, the split's pre-scaled top (|x| > 2^996),
@@ -48,7 +42,7 @@ class TestDoubleDouble:
         s, e = _two_sum(a, b)
         assert np.array_equal(s, a + b)
         for x, y, hi, lo in zip(a, b, s, e):
-            assert Fraction(hi) + Fraction(lo) == Fraction(x) + Fraction(y)
+            assert exact(hi) + exact(lo) == exact(x) + exact(y)
 
     def test_two_sum_of_signed_zeros(self):
         s, e = _two_sum(np.array([-0.0, -0.0, 0.0]), np.array([-0.0, 0.0, -0.0]))
@@ -60,7 +54,7 @@ class TestDoubleDouble:
         hi, lo = _split(x)
         assert np.isfinite(hi).all() and np.isfinite(lo).all()
         for v, h, l in zip(x, hi, lo):
-            assert Fraction(h) + Fraction(l) == Fraction(v)
+            assert exact(h) + exact(l) == exact(v)
             if abs(v) >= 2.0**-969:  # lo normal: a product of parts is exact
                 assert significant_bits(h) <= 26 and significant_bits(l) <= 26
         assert np.signbit(_split(np.array([-0.0]))[0]).all()
@@ -86,10 +80,9 @@ class TestDoubleDouble:
         assert hi.shape == lo.shape == mag.shape == np.broadcast_shapes(shape_a[:-1] + (1,),
                                                                         shape_b[:-2] + (1, shape_b[-1]))
         np.testing.assert_allclose(mag, np.abs(a[0]) @ np.abs(b[0]), rtol=1e-15)
-        exact = np.vectorize(Fraction, otypes=[object])
         want = (exact(a[0]) + exact(a[1])) @ (exact(b[0]) + exact(b[1]))
         for i in np.ndindex(hi.shape):
-            assert abs(Fraction(hi[i]) + Fraction(lo[i]) - want[i]) <= shape_a[-1] * 2.0**-104 * mag[i]
+            assert abs(exact(hi[i]) + exact(lo[i]) - want[i]) <= shape_a[-1] * 2.0**-104 * mag[i]
             assert hi[i] == float(want[i])
 
 
@@ -174,6 +167,20 @@ class TestCharPoly:
             p = MonicPolynomial(rng.uniform(-2, 2, n))
             back = char_poly(PredictionModel(p.coeffs).companion)
             assert np.abs(back.coeffs - p.coeffs).max() <= 1e-10
+
+    @pytest.mark.parametrize("n, bound", [(8, 1e-14), (12, 2e-13), (16, 5e-12)])
+    def test_against_exact_faddeev_leverrier(self, n, bound):
+        """The Monte Carlo truth's accuracy on uniform(-1, 1) matrices: the
+        largest coefficient error relative to the largest exact coefficient
+        (measured over 200 draws per n under four BLAS kernels: at most
+        2.0e-15, 3.8e-14 and 5.8e-13)."""
+        assert exact_char_poly([[0.5, 1.0], [1.0, 1.0]]) == [-0.5, -1.5]  # l^2 - 1.5 l - 0.5
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            a = rng.uniform(-1, 1, (n, n))
+            want = exact_char_poly(a)
+            error = max(abs(exact(g) - w) for g, w in zip(char_poly(a).coeffs, want))
+            assert error <= bound * max(map(abs, want))
 
 
 class TestCompanionMatrix:

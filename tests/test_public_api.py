@@ -46,11 +46,12 @@ def test_package_reexports_module_exports():
 
 SOURCES = sorted(p for p in pathlib.Path(linident.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
-    """Every module-level import of a module is used in it."""
+    """Every module-level import of a module, or of a test module, is used in it."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = [alias.asname or alias.name.split(".")[0] for node in tree.body
                 if isinstance(node, (ast.Import, ast.ImportFrom))
