@@ -41,8 +41,9 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .dynsys import _iterate, krylov_matrix, observability_matrix
-from .ident import SINGULAR_CONDITION_CAP, _cap_exceeded, _hankel, _solve_windows
-from .numkit import _as_vector, _positive, char_poly, discriminant, mat_exp, numerical_rank
+from .ident import SINGULAR_CONDITION_CAP, _cap_exceeded, _hankel, _lu_solve
+from .numkit import (DEFAULT_RANK_TOL, _as_vector, _cond_bracket, _positive, char_poly,
+                     condition_estimate, discriminant, mat_exp, numerical_rank)
 
 SUCCESS = "success"
 FAILURE = "failure"
@@ -186,10 +187,12 @@ def _evaluate(prop: str, c, a, x0, config: TrialConfig):
     with n = config.n.
 
     Each step runs once per block, on the trials whose outcome it can still
-    decide: the truth polynomial only within the condition cap. A trial
-    whose intermediate results overflow is a numerical rejection with error
-    "NonFinite"; a trial whose Hankel window exceeds the condition cap is
-    rejected before the solve. So no trial can make the block raise.
+    decide: the SVD only where the LU bracket ``_cond_bracket`` leaves a
+    rank or the cap undecided, the solve and the truth polynomial only
+    within the cap. A trial whose intermediate results overflow is a
+    numerical rejection with error "NonFinite"; a trial whose Hankel window
+    exceeds the condition cap is rejected before the solve. So no trial can
+    make the block raise.
     """
     if prop not in PROPERTIES:
         raise ValueError(f"unknown property {prop!r}")
@@ -233,37 +236,45 @@ def _distinct_eigenvalues(a, n: int):
 
 def _full_rank(m, what: str):
     finite = np.isfinite(m).all(axis=(-2, -1))
-    rank = np.zeros(len(m), dtype=int)
-    rank[finite] = numerical_rank(m[finite])
+    rank = np.full(len(m), m.shape[-1])
+    # cond <= 1/(2 tol) proves full rank past the SVD's p(n) eps cond error
+    band = finite.copy()
+    band[finite] = _cond_bracket(m[finite])[1] > 0.5 / DEFAULT_RANK_TOL
+    rank[band] = numerical_rank(m[band])
     codes = np.where(finite, rank != m.shape[-1], 2)
     return codes, lambda i: {"rank": int(rank[i])} if finite[i] else _non_finite(what)
 
 
 def _end_to_end(prop: str, c, a, x0, config: TrialConfig):
-    n = config.n
+    n, cap = config.n, config.cond_cap
     sampled = a if prop == "end-to-end-identifiable" else mat_exp(a, CONTINUOUS_STEP)
     y = _iterate(sampled, None, c, x0, 2 * n)
     finite = np.isfinite(y).all(axis=-1) & np.isfinite(sampled).all(axis=(-2, -1))
-    sol, cond_finite = _solve_windows(_hankel(y[finite], 0, n), y[finite, n:])
-    cond, rel = np.full((2, len(a)), np.nan)
-    cond[finite] = cond_finite
-    # a singular window is over cond_cap <= SINGULAR_CONDITION_CAP too; nothing reads its truth
-    judged = cond <= config.cond_cap
+    h = _hankel(y[finite], 0, n)
+    # a factor 2 off the cap decides cond <= cap as the SVD does; only the band between runs it
+    lo, hi = _cond_bracket(h)
+    within = hi <= cap / 2
+    band = ~within & (lo <= 2 * cap)
+    within[band] = condition_estimate(h[band]) <= cap
+    judged = np.zeros(len(a), dtype=bool)
+    judged[finite] = within  # a singular window is over cap <= SINGULAR_CONDITION_CAP too
+    sol = _lu_solve(h[within], y[finite][within, n:])
     truth = char_poly(sampled[judged])
-    err = np.abs(-sol[judged[finite]] - truth).max(axis=-1)
-    rel[judged] = err / np.maximum(1.0, np.abs(truth).max(axis=-1))
+    rel = np.full(len(a), np.nan)
+    rel[judged] = np.abs(-sol - truth).max(axis=-1) / np.maximum(1.0, np.abs(truth).max(axis=-1))
     codes = np.where(judged & np.isfinite(rel), rel > config.success_tol, 2)
 
     def diagnostics(i: int) -> dict:
         if not finite[i]:
             return _non_finite("simulated series")
-        if cond[i] > SINGULAR_CONDITION_CAP:  # where identify raises SingularHankel
-            return {"error": "SingularHankel", "message": str(_cap_exceeded("Hankel", cond[i]))}
-        if cond[i] > config.cond_cap:
-            return {"condition_estimate": float(cond[i])}
+        cond = condition_estimate(_hankel(y[i], 0, n))
+        if cond > SINGULAR_CONDITION_CAP:  # where identify raises SingularHankel
+            return {"error": "SingularHankel", "message": str(_cap_exceeded("Hankel", cond))}
+        if not judged[i]:
+            return {"condition_estimate": float(cond)}
         if not np.isfinite(rel[i]):
             return _non_finite("characteristic polynomial")
-        return {"relative_coeff_error": float(rel[i]), "condition_estimate": float(cond[i])}
+        return {"relative_coeff_error": float(rel[i]), "condition_estimate": float(cond)}
 
     return codes, diagnostics
 

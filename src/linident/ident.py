@@ -154,22 +154,29 @@ def _solve_windows(h, rhs) -> tuple[np.ndarray, np.ndarray]:
     SINGULAR_CONDITION_CAP; the other rows of the solution are NaN.
 
     Only windows under the cap reach the LU solve, so one singular window
-    never fails the stack. LU does not rescale, and an infinite pivot gives a
-    finite, wrong solution; partial pivoting grows entries at most
-    2^(m-1)-fold, so a window whose largest |entry| times 2^m would overflow
-    is solved with its rhs divided by 2^e; every other window keeps its bits.
+    never fails the stack.
     """
     cond = condition_estimate(h)
     solved = cond <= SINGULAR_CONDITION_CAP
-    h, b = h[solved], rhs[solved]
+    sol = np.full(rhs.shape, np.nan)
+    sol[solved] = _lu_solve(h[solved], rhs[solved])
+    return sol, cond
+
+
+def _lu_solve(h, b) -> np.ndarray:
+    """LU solutions of the stacked h x = b, each slice as if solved alone.
+
+    LU does not rescale, and an infinite pivot gives a finite, wrong
+    solution; partial pivoting grows entries at most 2^(m-1)-fold, so a
+    window whose largest |entry| times 2^m would overflow is solved with its
+    rhs divided by 2^e; every other window keeps its bits.
+    """
     e = _binary_exponent(h)
     near_limit = e > np.finfo(float).maxexp - h.shape[-1]
     if near_limit.any():
         e = np.where(near_limit, e, 0)
         h, b = np.ldexp(h, -e[..., None, None]), np.ldexp(b, -e[..., None])
-    sol = np.full(rhs.shape, np.nan)
-    sol[solved] = np.linalg.solve(h, b[..., None])[..., 0]
-    return sol, cond
+    return np.linalg.solve(h, b[..., None])[..., 0]
 
 
 def _cap_exceeded(what: str, cond: float) -> SingularHankel:

@@ -3,19 +3,23 @@
 Everything here is deterministic: Faddeev-LeVerrier characteristic
 polynomials, scaling-and-squaring matrix exponentials and Sylvester-matrix
 discriminants; roots, ranks and condition numbers come from LAPACK
-(``np.roots``, ``np.linalg.matrix_rank``, ``np.linalg.cond``). Targets small
-dense problems (n up to a few tens); no sparsity. Double-double (a float64
-pair hi + lo, |lo| <= ulp(hi) / 2) serves long series: ``_dd`` builds one
-from a float64 array, and ``_two_sum``, ``_split`` and ``_dd_matmul`` are
-plain ufuncs whose bits no BLAS kernel moves.
+(``np.roots``, ``np.linalg.matrix_rank``, ``np.linalg.cond``).
+``_cond_bracket`` bounds each condition number from one stacked LU inverse,
+for less than an SVD costs, so a caller needs the SVD only where the bounds
+straddle its threshold. Targets small dense problems (n up to a few tens);
+no sparsity. Double-double (a float64 pair hi + lo, |lo| <= ulp(hi) / 2)
+serves long series: ``_dd`` builds one from a float64 array, and
+``_two_sum``, ``_split`` and ``_dd_matmul`` are plain ufuncs whose bits no
+BLAS kernel moves.
 
 ``char_poly``, ``mat_exp``, ``discriminant``, ``numerical_rank`` and
 ``condition_estimate`` also take stacks: leading axes in front of the matrix
 (or coefficient) axes, each slice handled as if it were passed alone. A
 single matrix is the unstacked case and keeps its scalar or
 ``MonicPolynomial`` result. One rescale serves every rank, condition estimate,
-solve and block state: the exact division by 2^e, e = ``_binary_exponent``;
-a rank or condition number whose sigma_max overflows is redone after it.
+bracket, solve and block state: the exact division by 2^e, e =
+``_binary_exponent``; a rank or condition number whose sigma_max overflows
+is redone after it, and a bracket always starts from it.
 """
 
 from __future__ import annotations
@@ -243,6 +247,33 @@ def condition_estimate(m):
     A stack of matrices gives an array of estimates.
     """
     return _scale_free(np.linalg.cond, m, math.inf)
+
+
+def _cond_bracket(m) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) with lo <= cond_2 <= hi for each stacked square matrix, from
+    one stacked LU inverse X of m / 2^e. With slack = 2n eps |m|_F |X|_F and
+    r = |I - mX|_F + slack <= 1/2, the inverse X (I - R)^-1 gives
+    hi = |m|_F |X|_F / (1 - r); X = m^-1 (mX) gives lo = (largest column
+    norm of m) |X|_F / (sqrt(n) (|mX|_F + slack)). A slice with an exact
+    zero pivot, or a non-finite X, gets (0, inf); its neighbours keep theirs."""
+    a = np.ldexp(m, -_binary_exponent(m)[..., None, None])
+    n = a.shape[-1]
+    try:
+        x = np.linalg.inv(a)
+    except np.linalg.LinAlgError:  # raised for the whole stack by one zero pivot
+        x = np.full_like(a, np.nan)
+        regular = np.linalg.slogdet(a)[0] != 0
+        x[regular] = np.linalg.inv(a[regular])
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = a @ x
+        fm, fx, fp = (np.sqrt(np.einsum("...ij,...ij->...", v, v)) for v in (a, x, p))
+        slack = 2 * n * np.finfo(float).eps * fm * fx
+        p[..., range(n), range(n)] -= 1.0
+        r = np.sqrt(np.einsum("...ij,...ij->...", p, p)) + slack
+        col = np.sqrt(np.einsum("...ij,...ij->...j", a, a).max(axis=-1))
+        lo = col * fx / (math.sqrt(n) * (fp + slack))
+        hi = np.where(r <= 0.5, fm * fx / (1 - r), np.inf)
+    return np.where(lo < np.inf, lo, 0.0), hi
 
 
 def _two_sum(a, b):

@@ -164,6 +164,53 @@ def test_truth_only_for_trials_within_the_cap(monkeypatch):
     np.testing.assert_array_equal(passed, within)
 
 
+def svd_slices(monkeypatch):
+    """The matrices the engine passes to numerical_rank or condition_estimate."""
+    passed = []
+
+    def recording(f):
+        def record(m, *args):
+            passed.extend(np.asarray(m).reshape(-1, *np.shape(m)[-2:]))
+            return f(m, *args)
+        return record
+
+    for name in ("numerical_rank", "condition_estimate"):
+        monkeypatch.setattr(experiments, name, recording(getattr(experiments, name)))
+    return passed
+
+
+@pytest.mark.parametrize("prop", ["observable", "krylov-independent", "end-to-end-identifiable"])
+def test_bracket_decides_without_svd(prop, monkeypatch):
+    """At the default box and cap the LU condition bracket decides every
+    n = 8 rank and window: no slice reaches the SVD."""
+    passed = svd_slices(monkeypatch)
+    report = mc_estimate(prop, TrialConfig(n=8, trials=200, seed=1))
+    assert report.successes == 200
+    assert passed == []
+
+
+def test_svd_band_and_lu_solve_of_judged_trials(monkeypatch):
+    """Under cond_cap = 1e6 some windows fall within a factor 2 of the cap
+    and reach the SVD; the LU solve sees exactly the judged windows."""
+    config = TrialConfig(n=8, trials=200, seed=1, cond_cap=1e6)
+    draws = [draw_sample(config, i) for i in range(config.trials)]
+    within = [experiments._hankel(experiments._iterate(a, None, c, x0, 16), 0, 8)
+              for c, a, x0 in draws if evaluate_property(
+                  "end-to-end-identifiable", c, a, x0, config)[1]["condition_estimate"] <= 1e6]
+    passed, solved = svd_slices(monkeypatch), []
+
+    def recording_solve(h, b):
+        solved.extend(h)
+        return lu_solve(h, b)
+
+    lu_solve = experiments._lu_solve
+    monkeypatch.setattr(experiments, "_lu_solve", recording_solve)
+    mc_estimate("end-to-end-identifiable", config)
+    assert 0 < len(passed) < config.trials
+    assert 0 < len(within) < config.trials
+    np.testing.assert_array_equal(solved, within)
+
+
 def mixed_block(n):
     """Generic draws plus an exactly singular trial (A = I) and a trial from
     a box so wide that every property overflows."""

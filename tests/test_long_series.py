@@ -437,11 +437,13 @@ def test_chain(tails):
 def test_stacked_long_series_is_the_loop(n, drive):
     """``_blocks`` serves one system: a long series of a stack, whether A,
     or only b, c and x0 carry the stack, and for rotation systems and their
-    companion matrices alike, runs the loop, bit for bit."""
+    companion matrices alike, runs the loop, bit for bit, one state past
+    the length at which a single system takes the blocks."""
     a, b, c, x = iterate_case(n, drive, (3,))
+    length = dynsys._loop_length(n + drive) + 1
     for a in (a, companion(a), a[0]):
-        assert dynsys._blocks(a, b, c, x, LENGTH) is None
-        assert bitwise_equal(_iterate(a, b, c, x, LENGTH), reference_iterate(a, b, c, x, LENGTH))
+        assert dynsys._blocks(a, b, c, x, length) is None
+        assert bitwise_equal(_iterate(a, b, c, x, length), reference_iterate(a, b, c, x, length))
 
 
 @pytest.mark.parametrize("n", NS)

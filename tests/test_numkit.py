@@ -15,8 +15,11 @@ from linident import (
     numerical_rank,
     poly_roots,
 )
+from linident.dynsys import _iterate, observability_matrix
+from linident.experiments import CONTINUOUS_STEP, TrialConfig, _draw_block
 from linident.ident import _hankel
-from linident.numkit import _dd, _dd_matmul, _norm1, _split, _two_sum, as_matrix
+from linident.numkit import (_binary_exponent, _cond_bracket, _dd, _dd_matmul, _norm1, _split,
+                             _two_sum, as_matrix)
 from _exact import exact, exact_char_poly, significant_bits
 
 
@@ -339,6 +342,68 @@ class TestNearFloatLimit:
         assert math.isfinite(conds[1]) and math.isinf(conds[3])
         for i in (0, 2, 4):  # ordinary slices keep numpy's bits
             assert conds[i] == np.linalg.cond(stack[i])
+
+
+class TestCondBracket:
+    """_cond_bracket's (lo, hi) holds the SVD's condition number of each slice."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @staticmethod
+    def assert_brackets(m):
+        lo, hi = _cond_bracket(m)
+        cond = condition_estimate(m)
+        assert np.all(lo <= cond) and np.all(cond <= hi)
+        return lo, hi
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_uniform(self, n):
+        lo, hi = self.assert_brackets(np.random.default_rng(n).uniform(-1, 1, (100, n, n)))
+        assert np.all(lo > 0) and np.all(np.isfinite(hi))
+
+    @pytest.mark.parametrize("step", [None, CONTINUOUS_STEP], ids=["discrete", "continuous"])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_hankel_windows_of_draws(self, n, step):
+        c, a, x0 = _draw_block(TrialConfig(n=n, trials=100, seed=n), 0, 100)
+        sampled = a if step is None else mat_exp(a, step)
+        self.assert_brackets(_hankel(_iterate(sampled, None, c, x0, 2 * n), 0, n))
+
+    @pytest.mark.parametrize("cond", [1e6, 1e8, 1e10, 1e12, 1e14])
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_ill_conditioned(self, n, cond):
+        rng = np.random.default_rng(n)
+        u, v = np.linalg.qr(rng.standard_normal((2, 50, n, n)))[0]
+        m = u * np.geomspace(1, 1 / cond, n) @ v.swapaxes(-2, -1)
+        lo, hi = self.assert_brackets(m)
+        assert np.all(lo > 0)
+        assert cond > 1e12 or np.all(np.isfinite(hi))  # r <= 1/2 while cond eps is small
+
+    def test_singular_slice_gets_zero_to_inf(self):
+        # Q of A = I repeats c: an exact zero pivot, as does a zero row
+        rng = np.random.default_rng(31)
+        m = rng.uniform(-1, 1, (6, 3, 3))
+        m[1] = observability_matrix(np.eye(3), m[1, 0])
+        m[4, 2] = 0.0
+        lo, hi = _cond_bracket(m)
+        assert lo[[1, 4]].tolist() == [0.0, 0.0] and np.isinf(hi[[1, 4]]).all()
+        regular = [0, 2, 3, 5]
+        alone = _cond_bracket(m[regular])
+        np.testing.assert_array_equal(lo[regular], alone[0])
+        np.testing.assert_array_equal(hi[regular], alone[1])
+
+    def test_scale_free(self):
+        m = np.random.default_rng(37).uniform(-1, 1, (20, 4, 4))
+        want = _cond_bracket(m)
+        near_limit = np.ldexp(m, 1024 - _binary_exponent(m)[:, None, None])
+        assert np.abs(near_limit).max() > 1e308
+        for scaled in (np.ldexp(m, 600), np.ldexp(m, -600), near_limit):
+            got = _cond_bracket(scaled)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
 
 
 class TestStackedKernels:
