@@ -42,8 +42,8 @@ import numpy as np
 from .errors import DimensionMismatch
 from .dynsys import _iterate, krylov_matrix, observability_matrix
 from .ident import SINGULAR_CONDITION_CAP, _cap_exceeded, _hankel, _lu_solve
-from .numkit import (DEFAULT_RANK_TOL, _as_vector, _cond_bracket, _gram_certified, _positive,
-                     char_poly, condition_estimate, discriminant, mat_exp, numerical_rank)
+from .numkit import (DEFAULT_RANK_TOL, _as_vector, _cond_over, _positive, char_poly,
+                     condition_estimate, discriminant, mat_exp, numerical_rank)
 
 SUCCESS = "success"
 FAILURE = "failure"
@@ -187,9 +187,10 @@ def _evaluate(prop: str, c, a, x0, config: TrialConfig):
     with n = config.n.
 
     Each step runs once per block, on the trials whose outcome it can still
-    decide: the SVD only where the LU bracket ``_cond_bracket`` leaves a
-    rank or the cap undecided, the solve and the truth polynomial only
-    within the cap. A trial whose intermediate results overflow is a
+    decide: one ``numkit._cond_over`` cascade decides every rank (cond_2 >
+    1 / DEFAULT_RANK_TOL) and every window's cap, its SVD only where its
+    screens leave them undecided; the solve and the truth polynomial run
+    only within the cap. A trial whose intermediate results overflow is a
     numerical rejection with error "NonFinite"; a trial whose Hankel window
     exceeds the condition cap is rejected before the solve. So no trial can
     make the block raise.
@@ -236,30 +237,20 @@ def _distinct_eigenvalues(a, n: int):
 
 def _full_rank(m, what: str):
     finite = np.isfinite(m).all(axis=(-2, -1))
-    rank = np.full(len(m), m.shape[-1])
-    # cond <= 1/(2 tol) proves full rank past the SVD's p(n) eps cond error
-    band, cap = finite.copy(), 0.5 / DEFAULT_RANK_TOL
-    band[finite] = ~_gram_certified(m[finite], cap)
-    if band.any():  # the LU bracket proves most of what the Gram certificate leaves
-        band[band] = _cond_bracket(m[band])[1] > cap
-    if band.any():
-        rank[band] = numerical_rank(m[band])
-    codes = np.where(finite, rank != m.shape[-1], 2)
-    return codes, lambda i: {"rank": int(rank[i])} if finite[i] else _non_finite(what)
+    codes = np.full(len(m), 2)
+    codes[finite] = _cond_over(m[finite], 1 / DEFAULT_RANK_TOL)
+    # a success is full rank by its outcome: only a failure's rank takes an SVD
+    return codes, lambda i: ({"rank": int(numerical_rank(m[i])) if codes[i] else m.shape[-1]}
+                             if finite[i] else _non_finite(what))
 
 
 def _end_to_end(prop: str, c, a, x0, config: TrialConfig):
-    n, cap = config.n, config.cond_cap
+    n = config.n
     sampled = a if prop == "end-to-end-identifiable" else mat_exp(a, CONTINUOUS_STEP)
     y = _iterate(sampled, None, c, x0, 2 * n)
     finite = np.isfinite(y).all(axis=-1) & np.isfinite(sampled).all(axis=(-2, -1))
     h = _hankel(y[finite], 0, n)
-    # a factor 2 off the cap decides cond <= cap as the SVD does; only the band between runs it
-    lo, hi = _cond_bracket(h)
-    within = hi <= cap / 2
-    band = ~within & (lo <= 2 * cap)
-    if band.any():
-        within[band] = condition_estimate(h[band]) <= cap
+    within = ~_cond_over(h, config.cond_cap)
     judged = np.zeros(len(a), dtype=bool)
     judged[finite] = within  # a singular window is over cap <= SINGULAR_CONDITION_CAP too
     sol = _lu_solve(h[within], y[finite][within, n:])

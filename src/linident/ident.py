@@ -148,21 +148,6 @@ def _hankel(y, k: int, n: int, rows: int | None = None) -> np.ndarray:
     return h
 
 
-def _solve_windows(h, rhs) -> tuple[np.ndarray, np.ndarray]:
-    """Condition estimates of the stacked square windows h (T, m, m), and
-    the solutions of h x = rhs for the windows within
-    SINGULAR_CONDITION_CAP; the other rows of the solution are NaN.
-
-    Only windows under the cap reach the LU solve, so one singular window
-    never fails the stack.
-    """
-    cond = condition_estimate(h)
-    solved = cond <= SINGULAR_CONDITION_CAP
-    sol = np.full(rhs.shape, np.nan)
-    sol[solved] = _lu_solve(h[solved], rhs[solved])
-    return sol, cond
-
-
 def _lu_solve(h, b) -> np.ndarray:
     """LU solutions of the stacked h x = b, each slice as if solved alone.
 
@@ -210,18 +195,14 @@ def _identify(series: TimeSeries, n: int, k: int, affine: bool = False,
     _check_window(n, k)
     y = series.values
     v = _hankel(y, k, n + 1, max(n + affine, len(y) - n - k))  # the one length check
-    if overdetermined:
-        cond = condition_estimate(v[:, :n])
-        if cond <= SINGULAR_CONDITION_CAP:  # a window rejected below is never solved
-            sol, *_ = np.linalg.lstsq(v[:, :n], v[:, n], rcond=None)
-    else:
-        lead = v[:n + affine]
-        h = np.column_stack((lead[:, :n], np.ones(n + 1))) if affine else lead[:, :n]
-        sol, cond = _solve_windows(h[None], lead[None, :, n])
-        sol, cond = sol[0], float(cond[0])
-    if cond > SINGULAR_CONDITION_CAP:
+    if not overdetermined:
+        v = v[:n + affine]
+    h = np.column_stack((v[:, :n], np.ones(n + 1))) if affine else v[:, :n]
+    cond = condition_estimate(h)
+    if cond > SINGULAR_CONDITION_CAP:  # a rejected window is never solved
         what = "window" if overdetermined else "augmented window" if affine else "Hankel"
         raise _cap_exceeded(what, cond)
+    sol = np.linalg.lstsq(h, v[:, n], rcond=None)[0] if overdetermined else _lu_solve(h, v[:, n])
     _require_finite(sol, "identification", "solution entry")
     coeffs = -sol[:n]
     offset = float(sol[n]) if affine else None

@@ -4,10 +4,11 @@ Everything here is deterministic: Faddeev-LeVerrier characteristic
 polynomials, scaling-and-squaring matrix exponentials and Sylvester-matrix
 discriminants; roots, ranks and condition numbers come from LAPACK
 (``np.roots``, ``np.linalg.matrix_rank``, ``np.linalg.cond``).
-``_gram_certified`` proves cond_2 <= a bound, up to about 1e7, from one
-shifted Cholesky of the Gram matrix, and ``_cond_bracket`` bounds cond_2 from
-one LU inverse; both cost less than an SVD, so a caller runs the SVD only
-where they leave its threshold undecided. Their LAPACK gufuncs run through
+``_cond_over`` decides cond_2 > cap for a stack as ``condition_estimate``
+does, in one cascade: ``_gram_certified`` proves cond_2 <= cap / 2, up to
+about 1e7, from one shifted Cholesky of the Gram matrix; ``_cond_bracket``
+bounds cond_2 from one LU inverse; the SVD runs only on the slices they
+leave within a factor 2 of the cap. Their LAPACK gufuncs run through
 ``_per_slice``, so a failed slice is NaN and its neighbours keep their bits.
 Targets small dense problems (n up to a few tens); no sparsity. Double-double
 (a float64 pair hi + lo, |lo| <= ulp(hi) / 2) serves long series: ``_dd``
@@ -284,10 +285,10 @@ def _cond_bracket(m) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) with lo <= cond_2 <= hi for each stacked square matrix, from
     one LU inverse X per slice of m / 2^e. With slack = 2n eps |m|_F |X|_F and
     r = |I - mX|_F + slack <= 1/2, the inverse X (I - R)^-1 gives
-    hi = |m|_F |X|_F / (1 - r); X = m^-1 (mX) and |mX|_F <= sqrt(n) + r give
-    lo = (largest column norm of m) |X|_F / (sqrt(n) (sqrt(n) + r)). A slice
-    with an exact zero pivot, or a non-finite X, gets (0, inf); its
-    neighbours keep theirs."""
+    hi = |m|_F |X|_F / (1 - r); X = m^-1 (mX) gives |X|_F <= |m^-1|_2 |mX|_F,
+    and |mX|_F <= sqrt(n) + r, so lo = (largest column norm of m) |X|_F /
+    (sqrt(n) + r). A slice with an exact zero pivot, or a non-finite X, gets
+    (0, inf); its neighbours keep theirs."""
     a = np.ldexp(m, -_binary_exponent(m)[..., None, None])
     n = a.shape[-1]
     x = _per_slice(_umath_linalg.inv, a)
@@ -296,9 +297,26 @@ def _cond_bracket(m) -> tuple[np.ndarray, np.ndarray]:
         fm, fx = np.sqrt(cols.sum(axis=-1)), np.sqrt(np.einsum("...ij,...ij->...", x, x))
         p = a @ x - np.eye(n)
         r = np.sqrt(np.einsum("...ij,...ij->...", p, p)) + 2 * n * np.finfo(float).eps * fm * fx
-        lo = np.sqrt(cols.max(axis=-1)) * fx / (math.sqrt(n) * (math.sqrt(n) + r))
+        lo = np.sqrt(cols.max(axis=-1)) * fx / (math.sqrt(n) + r)
         hi = np.where(r <= 0.5, fm * fx / (1 - r), np.inf)
     return np.where(lo < np.inf, lo, 0.0), hi
+
+
+def _cond_over(m, cap) -> np.ndarray:
+    """Whether cond_2 > ``cap`` for each stacked finite square matrix, as
+    ``condition_estimate`` decides it. The Gram certificate proves cond_2 <=
+    cap / 2, the LU bracket hi <= cap / 2 or lo > 2 cap; only the slices
+    left between reach the SVD. The factors of 2 exceed the SVD's own
+    p(n) eps cond error for any cap up to 1e10."""
+    over = np.zeros(m.shape[:-2], dtype=bool)
+    band = ~_gram_certified(m, cap / 2)
+    if band.any():
+        lo, hi = _cond_bracket(m[band])
+        over[band] = lo > 2 * cap
+        band[band] = (hi > cap / 2) & (lo <= 2 * cap)
+    if band.any():
+        over[band] = condition_estimate(m[band]) > cap
+    return over
 
 
 def _two_sum(a, b):

@@ -6,6 +6,7 @@ public functions. Every trial must get the same outcome from the block
 evaluator as from this loop.
 """
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -29,7 +30,7 @@ from linident import (
     sample_continuous,
     simulate_discrete,
 )
-from linident import experiments, io
+from linident import experiments, io, numkit
 from linident.dynsys import char_poly_of_sampled
 from linident.experiments import (
     CONTINUOUS_STEP,
@@ -134,6 +135,24 @@ def test_reports_do_not_depend_on_the_partition(prop, n, box, monkeypatch):
                 assert report(trials) == expected, (trials, size)
 
 
+def test_report_digest():
+    """The reports of a grid of cells hash to the digest pinned when the
+    condition cascade was introduced: every screen must decide as the SVD
+    alone did, byte for byte, under every BLAS kernel."""
+    digest = hashlib.sha256()
+    for prop in ("observable", "krylov-independent", "end-to-end-identifiable"):
+        for n in (2, 4, 8, 12, 16):
+            for seed in (0, 1):
+                for box in ((-1.0, 1.0), (0.0, 1.0), (-4.0, 3.0)):
+                    for cond_cap in (1e10, 1e6):
+                        config = TrialConfig(n=n, trials=200, seed=seed, box=SamplingBox(*box),
+                                             cond_cap=cond_cap)
+                        report = mc_estimate(prop, config).to_dict()
+                        digest.update(io.dumps(io.document(**report)).encode())
+    assert digest.hexdigest() == (
+        "8cdd870500755b2682f88bf6421203a7d22095aa9eb81c677b4a104b140cd065")
+
+
 def truth_slices(monkeypatch):
     """The matrices the engine passes to char_poly, in call order."""
     passed = []
@@ -165,26 +184,29 @@ def test_truth_only_for_trials_within_the_cap(monkeypatch):
     np.testing.assert_array_equal(passed, within)
 
 
-def svd_slices(monkeypatch):
-    """The matrices the engine passes to numerical_rank or condition_estimate."""
+def recorded(monkeypatch, module, name):
+    """The stacked matrices passed to module.name, in call order."""
     passed = []
+    f = getattr(module, name)
 
-    def recording(f):
-        def record(m, *args):
-            passed.extend(np.asarray(m).reshape(-1, *np.shape(m)[-2:]))
-            return f(m, *args)
-        return record
+    def recording(m, *args):
+        passed.extend(np.asarray(m).reshape(-1, *np.shape(m)[-2:]))
+        return f(m, *args)
 
-    for name in ("numerical_rank", "condition_estimate"):
-        monkeypatch.setattr(experiments, name, recording(getattr(experiments, name)))
+    monkeypatch.setattr(module, name, recording)
     return passed
+
+
+def svd_slices(monkeypatch):
+    """The matrices the condition cascade passes to its deciding SVD."""
+    return recorded(monkeypatch, numkit, "condition_estimate")
 
 
 @pytest.mark.parametrize("prop", ["observable", "krylov-independent", "end-to-end-identifiable"])
 def test_bracket_decides_without_svd(prop, monkeypatch):
     """At the default box and cap every n = 8 rank is proved by the Gram
-    certificate and every window decided by the LU condition bracket: no
-    slice reaches the SVD."""
+    certificate and every window decided by it or the LU condition bracket:
+    no slice reaches the SVD."""
     passed = svd_slices(monkeypatch)
     report = mc_estimate(prop, TrialConfig(n=8, trials=200, seed=1))
     assert report.successes == 200
@@ -192,16 +214,8 @@ def test_bracket_decides_without_svd(prop, monkeypatch):
 
 
 def bracket_slices(monkeypatch):
-    """The matrices the engine passes to _cond_bracket."""
-    passed = []
-
-    def recording(m):
-        passed.extend(m)
-        return bracket(m)
-
-    bracket = experiments._cond_bracket
-    monkeypatch.setattr(experiments, "_cond_bracket", recording)
-    return passed
+    """The matrices the condition cascade passes to its LU bracket."""
+    return recorded(monkeypatch, numkit, "_cond_bracket")
 
 
 @pytest.mark.parametrize("prop", ["observable", "krylov-independent"])
@@ -215,16 +229,20 @@ def test_gram_certificate_decides_ranks(prop, monkeypatch):
 
 
 @pytest.mark.parametrize("prop", ["observable", "krylov-independent"])
-def test_perron_ranks_reach_svd(prop, monkeypatch):
+def test_bracket_decides_perron_ranks(prop, monkeypatch):
     """At box [0, 1] (no rescale) the Perron eigenvalue aligns the powers of A:
-    no n = 12 matrix passes either screen, and the SVD sees each once."""
+    the LU bracket's lower bound proves every n = 12 matrix rank-deficient,
+    no matrix reaches the deciding SVD, and only the ten reported failures
+    are ranked."""
     config = TrialConfig(n=12, trials=200, seed=1, box=SamplingBox(0.0, 1.0))
-    draws = [draw_sample(config, i) for i in range(config.trials)]
-    matrices = [observability_matrix(a, c) if prop == "observable" else krylov_matrix(a, x0)
+    draws = [draw_sample(config, i) for i in range(10)]
+    reported = [observability_matrix(a, c) if prop == "observable" else krylov_matrix(a, x0)
                 for c, a, x0 in draws]
-    passed = svd_slices(monkeypatch)
-    mc_estimate(prop, config)
-    np.testing.assert_array_equal(passed, matrices)
+    passed, ranked = svd_slices(monkeypatch), recorded(monkeypatch, experiments, "numerical_rank")
+    report = mc_estimate(prop, config)
+    assert report.failures == 200
+    assert passed == []
+    np.testing.assert_array_equal(ranked, reported)
 
 
 def test_svd_band_and_lu_solve_of_judged_trials(monkeypatch):
@@ -235,14 +253,7 @@ def test_svd_band_and_lu_solve_of_judged_trials(monkeypatch):
     within = [experiments._hankel(experiments._iterate(a, None, c, x0, 16), 0, 8)
               for c, a, x0 in draws if evaluate_property(
                   "end-to-end-identifiable", c, a, x0, config)[1]["condition_estimate"] <= 1e6]
-    passed, solved = svd_slices(monkeypatch), []
-
-    def recording_solve(h, b):
-        solved.extend(h)
-        return lu_solve(h, b)
-
-    lu_solve = experiments._lu_solve
-    monkeypatch.setattr(experiments, "_lu_solve", recording_solve)
+    passed, solved = svd_slices(monkeypatch), recorded(monkeypatch, experiments, "_lu_solve")
     mc_estimate("end-to-end-identifiable", config)
     assert 0 < len(passed) < config.trials
     assert 0 < len(within) < config.trials

@@ -38,7 +38,7 @@ from linident import (
 from linident import dynsys, ident
 from linident.cli import _emit_series
 from linident.dynsys import _iterate
-from linident.ident import PredictionModel, _hankel, _solve_windows, _window_residual
+from linident.ident import PredictionModel, _hankel, _lu_solve, _window_residual
 from linident.numkit import char_poly, condition_estimate, mat_exp
 from _exact import bitwise_equal, dyadic, exact_series
 
@@ -77,8 +77,8 @@ def reference_affine(y, k, n):
     for j in range(n + 1):
         h[j, :n] = y[k + j:k + j + n]
         h[j, n] = 1.0
-    sol, cond = _solve_windows(h[None], y[None, k + n:k + 2 * n + 1])
-    return -sol[0, :n], float(sol[0, n]), float(cond[0])
+    sol = _lu_solve(h, y[k + n:k + 2 * n + 1])
+    return -sol[:n], float(sol[n]), condition_estimate(h)
 
 
 def reference_predict(model, seed, steps):
