@@ -20,6 +20,7 @@ from .numkit import (
     _dd,
     _dd_matmul,
     _positive,
+    _solve,
     char_poly,
     mat_exp,
     numerical_rank,
@@ -288,7 +289,7 @@ def output_row_G(a, c) -> np.ndarray:
         raise NotObservable("observability matrix is numerically singular")
     # Q / 2^e keeps G and its bits; c A^n and the LU pivots stay finite
     q = np.ldexp(q, -_binary_exponent(q))
-    return np.linalg.solve(q.T, q[n - 1] @ a)  # c A^{n-1} is the last row of Q
+    return _solve(q.T, q[n - 1] @ a)  # c A^{n-1} is the last row of Q
 
 
 def affine_offset(a, b, c) -> float:

@@ -32,6 +32,8 @@ from .numkit import (
     _dd,
     _dd_matmul,
     _positive,
+    _roots,
+    _solve,
     condition_estimate,
     numerical_rank,
     poly_roots,
@@ -161,7 +163,7 @@ def _lu_solve(h, b) -> np.ndarray:
     if near_limit.any():
         e = np.where(near_limit, e, 0)
         h, b = np.ldexp(h, -e[..., None, None]), np.ldexp(b, -e[..., None])
-    return np.linalg.solve(h, b[..., None])[..., 0]
+    return _solve(h, b)
 
 
 def _cap_exceeded(what: str, cond: float) -> SingularHankel:
@@ -319,7 +321,7 @@ def verify_conjugacy(model: PredictionModel, sys: SystemSpec,
 
 def assess_stability(model: PredictionModel) -> str:
     """Classify by spectral radius: below 1 stable, above 1 unstable."""
-    rho = float(np.abs(np.roots(model.polynomial.descending())).max())  # no need to sort
+    rho = float(np.abs(_roots(model.coeffs)).max())  # no need to sort
     if rho < 1.0 - STABILITY_MARGIN:
         return "asymptotically-stable"
     if rho > 1.0 + STABILITY_MARGIN:

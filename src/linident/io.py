@@ -51,7 +51,7 @@ def read_series(path) -> TimeSeries:
     values = array("d")
     step = None
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, 1):
                 try:
                     x = float(raw)
@@ -138,7 +138,7 @@ def document(**fields) -> dict:
 
 
 def read_report(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:

@@ -2,14 +2,15 @@
 
 Everything here is deterministic: Faddeev-LeVerrier characteristic
 polynomials, scaling-and-squaring matrix exponentials and Sylvester-matrix
-discriminants; roots, ranks and condition numbers come from LAPACK
-(``np.roots``, ``np.linalg.matrix_rank``, ``np.linalg.cond``).
-``_cond_over`` decides cond_2 > cap for a stack as ``condition_estimate``
-does, in one cascade: ``_gram_certified`` proves cond_2 <= cap / 2, up to
-about 1e7, from one shifted Cholesky of the Gram matrix; ``_cond_bracket``
-bounds cond_2 from one LU inverse; the SVD runs only on the slices they
-leave within a factor 2 of the cap. Their LAPACK gufuncs run through
-``_per_slice``, so a failed slice is NaN and its neighbours keep their bits.
+discriminants. Roots, ranks, condition numbers, solves and determinants
+come from LAPACK: every call runs numpy's own gufunc through ``_per_slice``,
+without ``np.linalg``'s per-call wrapper, and keeps the wrapper's bits and
+its LinAlgError. ``_cond_over`` decides cond_2 > cap for a stack as
+``condition_estimate`` does, in one cascade: ``_gram_certified`` proves
+cond_2 <= cap / 2, up to about 1e7, from one shifted Cholesky of the Gram
+matrix; ``_cond_bracket`` bounds cond_2 from one LU inverse; the SVD runs
+only on the slices they leave within a factor 2 of the cap. A slice that
+fails in either screen is NaN, and its neighbours keep their bits.
 Targets small dense problems (n up to a few tens); no sparsity. Double-double
 (a float64 pair hi + lo, |lo| <= ulp(hi) / 2) serves long series: ``_dd``
 builds one from a float64 array, and ``_two_sum``, ``_split`` and
@@ -182,7 +183,21 @@ def char_poly(m):
 def poly_roots(p: MonicPolynomial) -> np.ndarray:
     """All complex roots of ``p`` (with multiplicity), as the eigenvalues of
     its companion matrix, sorted lexicographically by (real, imag)."""
-    return sort_complex_lex(np.roots(p.descending()))
+    return sort_complex_lex(_roots(p.coeffs))
+
+
+def _roots(coeffs) -> np.ndarray:
+    """``np.roots`` of the monic polynomial with ascending ``coeffs``, bit for
+    bit: after k leading zeros a_0 = ... = a_{k-1} = 0, k exact zero roots
+    follow the eigenvalues (real if all are) of np.roots' companion matrix."""
+    nonzero = np.flatnonzero(coeffs)
+    if not nonzero.size:
+        return np.zeros(coeffs.size)
+    p = coeffs[nonzero[0]:]
+    a = np.eye(p.size, k=-1)
+    a[0] = -p[::-1]
+    w = _per_slice(_umath_linalg.eigvals, a, signature="d->D", error="Eigenvalues did not converge")
+    return np.concatenate((w if w.imag.any() else w.real, np.zeros(coeffs.size - p.size)))
 
 
 def sort_complex_lex(z: np.ndarray) -> np.ndarray:
@@ -213,7 +228,7 @@ def discriminant(p):
         s[..., i, i:i + n + 1] = desc
     for i in range(n):
         s[..., n - 1 + i, i:i + n] = der
-    det = np.linalg.det(s)
+    det = _per_slice(_umath_linalg.det, s)
     return sign * (float(det) if s.ndim == 2 else det)
 
 
@@ -223,17 +238,21 @@ def _binary_exponent(m) -> np.ndarray:
 
 
 def _scale_free(f, m, overflowed):
-    """f(m) for a scale-invariant function f of the singular values of each
+    """f(s) for a scale-invariant function f of the singular values s of each
     matrix (rank, condition number). A slice whose result is ``overflowed``
     (what an infinite sigma_max gives) is redone after division by 2^e;
     every other slice keeps its exact bits."""
     a = as_matrix(m, stacked=True)
-    r = f(a)
+    r = f(_singular_values(a))
     hit = r == overflowed
     if (np.count_nonzero(hit) if a.ndim > 2 else hit):  # a scalar test costs ~50 ns
         r = np.array(r)
-        r[hit] = f(np.ldexp(a[hit], -_binary_exponent(a[hit])[..., None, None]))
+        r[hit] = f(_singular_values(np.ldexp(a[hit], -_binary_exponent(a[hit])[..., None, None])))
     return r if a.ndim > 2 else r.item()
+
+
+def _singular_values(a) -> np.ndarray:
+    return _per_slice(_umath_linalg.svd, a, error="SVD did not converge")
 
 
 def numerical_rank(m, tol: float = DEFAULT_RANK_TOL):
@@ -242,7 +261,7 @@ def numerical_rank(m, tol: float = DEFAULT_RANK_TOL):
     A stack of matrices gives an integer array of ranks.
     """
     _positive(tol, "tol")
-    return _scale_free(lambda a: np.linalg.matrix_rank(a, rtol=tol), m, 0)
+    return _scale_free(lambda s: np.count_nonzero(s > s.max(axis=-1, keepdims=True) * tol, axis=-1), m, 0)
 
 
 def condition_estimate(m):
@@ -250,14 +269,31 @@ def condition_estimate(m):
 
     A stack of matrices gives an array of estimates.
     """
-    return _scale_free(np.linalg.cond, m, math.inf)
+    return _scale_free(_cond, m, math.inf)
 
 
-def _per_slice(f, a) -> np.ndarray:
-    """numpy's LAPACK gufunc f (``_umath_linalg.inv``, ``.cholesky_lo``) on each
-    slice of ``a``; a failed slice is NaN, where ``np.linalg`` raises for the stack."""
+def _cond(s):
+    """s_max / s_min; fmin turns NaN (0 / 0, inf / inf) into inf."""
     with np.errstate(all="ignore"):
-        return f(a, signature="d->d")
+        return np.fmin(s[..., 0] / s[..., -1], np.inf)
+
+
+def _solve(a, b) -> np.ndarray:
+    """LU solution of a x = b for a vector b (..., m), stacks broadcast, as
+    ``np.linalg.solve`` gives it: LinAlgError for an exactly singular a."""
+    return _per_slice(_umath_linalg.solve1, a, b, signature="dd->d", error="Singular matrix")
+
+
+def _per_slice(f, *ops, signature="d->d", error=None) -> np.ndarray:
+    """numpy's LAPACK gufunc f (``_umath_linalg.inv``, ``.svd``, ...) on each
+    slice of the operands: a failed slice is NaN. Given an ``error``, a
+    failure raises LinAlgError(error) for the stack instead, as in
+    ``np.linalg``: the gufunc flags it, and only it, as an invalid operation."""
+    with np.errstate(all="ignore", invalid="raise" if error else "ignore"):
+        try:
+            return f(*ops, signature=signature)
+        except FloatingPointError:
+            raise np.linalg.LinAlgError(error) from None
 
 
 def _gram_certified(m, cond) -> np.ndarray:

@@ -60,6 +60,16 @@ class TestReadSeries:
         with pytest.raises(ParseError, match="not UTF-8"):
             io.read_series(p)
 
+    @pytest.mark.parametrize("text, step", [("# step=0.5\n1\n2\n", 0.5), ("1\n2\n", None)],
+                             ids=["header", "sample"])
+    def test_byte_order_mark(self, tmp_path, text, step):
+        # editors that save "UTF-8 with BOM" put EF BB BF before the first line
+        p = tmp_path / "s.txt"
+        p.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        series = io.read_series(p)
+        np.testing.assert_array_equal(series.values, [1.0, 2.0])
+        assert series.step == step
+
     def test_round_trip(self, tmp_path):
         series = TimeSeries([1.0, 1 / 3, 0.955], step=0.125)
         p = tmp_path / "s.txt"
@@ -136,6 +146,15 @@ class TestModelDocuments:
         doc = io.read_report(p)
         assert doc["format_version"] == 1
         assert doc["order"] == 2
+
+    def test_byte_order_mark(self, tmp_path):
+        p = tmp_path / "model.json"
+        io.write_model(identify(TimeSeries([1, 1, 2, 3, 5], step=0.5), 2), p)
+        want = io.read_model(p)
+        p.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
+        model = io.read_model(p)
+        np.testing.assert_array_equal(model.coeffs, want.coeffs)
+        assert model.step == want.step == 0.5
 
     def test_system_round_trip(self, tmp_path):
         from linident import SystemSpec

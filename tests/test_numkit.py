@@ -9,6 +9,7 @@ from linident import (
     DimensionMismatch,
     MonicPolynomial,
     PredictionModel,
+    assess_stability,
     char_poly,
     condition_estimate,
     discriminant,
@@ -19,10 +20,10 @@ from linident import (
 from linident import numkit
 from linident.dynsys import _iterate, krylov_matrix, observability_matrix
 from linident.experiments import CONTINUOUS_STEP, TrialConfig, _draw_block
-from linident.ident import _hankel
+from linident.ident import _hankel, _lu_solve
 from linident.numkit import (DEFAULT_RANK_TOL, _binary_exponent, _cond_bracket, _cond_over, _dd,
-                             _dd_matmul, _gram_certified, _norm1, _split, _two_sum, as_matrix)
-from _exact import exact, exact_char_poly, significant_bits
+                             _dd_matmul, _gram_certified, _norm1, _roots, _split, _two_sum, as_matrix)
+from _exact import bitwise_equal, exact, exact_char_poly, significant_bits
 
 
 # exponents across float64's range, the split's pre-scaled top (|x| > 2^996),
@@ -538,6 +539,101 @@ class TestCondOver:
         passed.clear()
         assert not _cond_over(np.delete(m, 3, axis=0), 1e9).any()
         assert passed == []
+
+
+def failing(gufunc):
+    """``gufunc`` as LAPACK failing on every slice: a NaN result, flagged as
+    an invalid operation (inf - inf here)."""
+    def call(*ops, signature):
+        return np.subtract(np.full_like(gufunc(*ops, signature=signature), np.inf), np.inf)
+    return call
+
+
+class TestLapackPath:
+    """numkit's direct gufunc calls give np.linalg's and np.roots' bits, and
+    its LinAlgError exactly where np.linalg raises one."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @staticmethod
+    def matrices(n, rng):
+        """30 n x n matrices over many scales: full rank, rank n - 1 and
+        rank 1 (a repeated column, an outer product), and the zero matrix."""
+        m = rng.standard_normal((30, n, n)) * 10.0 ** rng.uniform(-100, 100, (30, 1, 1))
+        if n > 1:
+            m[3:8, :, 0] = m[3:8, :, 1]
+        m[8:12] = rng.standard_normal((4, n, 1)) * rng.standard_normal((4, 1, n))
+        m[12] = 0.0
+        return m
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_rank_and_condition(self, n):
+        stack = self.matrices(n, np.random.default_rng(n))
+        assert bitwise_equal(condition_estimate(stack), np.linalg.cond(stack))
+        for tol in (1e-9, 1e-3):
+            assert bitwise_equal(numerical_rank(stack, tol), np.linalg.matrix_rank(stack, rtol=tol))
+        for m in stack[::3]:
+            assert condition_estimate(m) == float(np.linalg.cond(m))
+            assert numerical_rank(m, 1e-3) == int(np.linalg.matrix_rank(m, rtol=1e-3))
+        assert condition_estimate(stack[12]) == math.inf and numerical_rank(stack[12]) == 0
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_lu_solve_and_discriminant_stacks(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        h, b = rng.standard_normal((40, n, n)), rng.standard_normal((40, n))
+        assert bitwise_equal(_lu_solve(h, b), np.linalg.solve(h, b[..., None])[..., 0])
+        if n >= 2:
+            coeffs = rng.standard_normal((40, n))
+            got = discriminant(coeffs)
+            # the same Sylvester matrices through np.linalg.det
+            monkeypatch.setattr(numkit, "_umath_linalg", SimpleNamespace(det=lambda s, signature: np.linalg.det(s)))
+            assert bitwise_equal(got, discriminant(coeffs))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_roots(self, n):
+        rng = np.random.default_rng(n)
+        cases = [np.zeros(n), rng.standard_normal(n), np.round(rng.uniform(-3, 3, (50, n)))]
+        for zeros in (1, 2):  # a_0 = 0, a_0 = a_1 = 0
+            cases.append(np.concatenate((np.zeros(zeros), rng.standard_normal(n)))[:n])
+        for coeffs in np.vstack(cases):
+            want = np.roots(MonicPolynomial(coeffs).descending())
+            assert bitwise_equal(_roots(coeffs), want)
+            assert bitwise_equal(poly_roots(MonicPolynomial(coeffs)), numkit.sort_complex_lex(want))
+        assert _roots(np.zeros(n)).tolist() == [0.0] * n
+
+    def test_singular_solve_raises(self):
+        h = np.random.default_rng(5).standard_normal((4, 3, 3))
+        h[2, :, 1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            _lu_solve(h, np.ones((4, 3)))
+
+    def test_nan_from_a_successful_solve_is_not_an_error(self):
+        # LU succeeds but forward substitution overflows (inf - inf): np.linalg.solve
+        # returns the NaNs without raising, and so does the direct call
+        h = np.array([[3.0, 3.0, -4.0], [3.0, -4.0, 2.0], [-3.0, 3.0, 0.0]])
+        b = np.array([1e308, -1e308, 1e308])
+        got = _lu_solve(h, b)
+        assert np.isnan(got).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert bitwise_equal(got, np.linalg.solve(h, b))
+
+    def test_failed_svd_and_eigenvalues_raise(self, monkeypatch):
+        lapack = numkit._umath_linalg
+        monkeypatch.setattr(numkit, "_umath_linalg", SimpleNamespace(
+            svd=failing(lapack.svd), eigvals=failing(lapack.eigvals)))
+        m = np.random.default_rng(6).standard_normal((3, 4, 4))
+        for call in (condition_estimate, numerical_rank):
+            for arg in (m, m[0]):
+                with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+                    call(arg)
+        p = MonicPolynomial([0.5, -1.0, 0.25])
+        for call in (lambda: poly_roots(p), lambda: assess_stability(PredictionModel(p.coeffs))):
+            with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+                call()
 
 
 class TestStackedKernels:

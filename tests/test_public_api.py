@@ -59,3 +59,18 @@ def test_no_unused_imports(path):
                 for alias in node.names]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name in imported if name not in used] == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_lapack_goes_through_numkit(path):
+    """No call to np.roots or to an np.linalg function but lstsq: every other
+    LAPACK call runs numpy's gufunc through numkit._per_slice. Raising
+    np.linalg.LinAlgError is not a LAPACK call."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    allowed = {"np.linalg.lstsq", "np.linalg.LinAlgError"}
+    assert sorted(c for c in calls - allowed if c == "np.roots" or c.startswith("np.linalg.")) == []
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module in ("numpy", "numpy.linalg")
+                for alias in node.names]
+    assert [name for name in imported if name not in ("_umath_linalg", "LinAlgError")] == []
