@@ -2,7 +2,9 @@
 
 Everything here is deterministic: Faddeev-LeVerrier characteristic
 polynomials, scaling-and-squaring matrix exponentials and Sylvester-matrix
-discriminants. Roots, ranks, condition numbers, solves and determinants
+discriminants. An exponential's Taylor series, at scaled norm r <= 1/2, ends
+at the first term k with r^(k+1)/(k+1)! <= 2^-57, leaving out less than
+u |e^x|_1. Roots, ranks, condition numbers, solves and determinants
 come from LAPACK: every call runs numpy's own gufunc through ``_per_slice``,
 without ``np.linalg``'s per-call wrapper, and keeps the wrapper's bits and
 its LinAlgError. ``_cond_over`` decides cond_2 > cap for a stack as
@@ -23,7 +25,8 @@ single matrix is the unstacked case and keeps its scalar or
 ``MonicPolynomial`` result. One rescale serves every rank, condition estimate,
 certificate, bracket, solve and block state: the exact division by 2^e, e =
 ``_binary_exponent``; a rank or condition number whose sigma_max overflows
-is redone after it, and a certificate or bracket always starts from it.
+or is below 2^-969 is redone after it, and a certificate or bracket always
+starts from it.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ from numpy.linalg import _umath_linalg
 from .errors import DimensionMismatch
 
 DEFAULT_RANK_TOL = 1e-9
+# r_k, r_k^(k+1)/(k+1)! = 2^-57: mat_exp's series to term k serves scaled norms up to r_k
+_TAYLOR_REACH = np.exp([(math.lgamma(k + 2) - 57 * math.log(2)) / (k + 1) for k in range(1, 16)])
 
 __all__ = [
     "DEFAULT_RANK_TOL",
@@ -128,30 +133,30 @@ def mat_exp(m, t: float = 1.0) -> np.ndarray:
     Each x = t*m is scaled by 2^-s, s = max(0, ceil(log2 |x|_1) + 1), with
     ``ldexp`` (exact, so s may pass 1023), and its series squared s times;
     past s of about 50 that amplifies an oscillatory slice's rounding 2^s-fold
-    (a rotation at step 1e300 comes out as zeros). Every matrix of a stack
-    gets its own scaling, series length and squarings, so a slice comes out
-    as it would alone; one for which t*m overflows comes out NaN.
+    (a rotation at step 1e300 comes out as zeros). At r = |x 2^-s|_1 <= 1/2
+    the series ends at the first term k with r^(k+1)/(k+1)! <= 2^-57 (Higham,
+    SIAM J. Matrix Anal. Appl. 2005): its tail, below 2^-56, is under u |e^x|_1.
+    Every matrix of a stack gets its own scaling, series length and
+    squarings, so a slice comes out as it would alone; one for which t*m
+    overflows comes out NaN.
     """
     a = _as_square(m, stacked=True)
     if not np.isfinite(t):
         raise ValueError("t must be finite")
     x = t * a
+    norm = _norm1(x)
     with np.errstate(divide="ignore"):  # a zero matrix needs no scaling: log2(0) = -inf
-        s = np.maximum(0, np.ceil(np.log2(_norm1(x))) + 1)
+        s = np.maximum(0, np.ceil(np.log2(norm)) + 1)
     finite = np.isfinite(s)
     s = np.where(finite, s, 0).astype(int)
     x = np.where(finite[..., None, None], np.ldexp(x, -s[..., None, None]), np.nan)
-    # term 1 is x, not I @ x: they differ in signs of zeros, which total and the norms lose
+    last = 1 + np.searchsorted(_TAYLOR_REACH, np.where(finite, np.ldexp(norm, -s), 0.0))
+    # term 1 is x, not I @ x: they differ in signs of zeros, which total loses
     term, total = x, x + np.eye(a.shape[-1])
-    active = np.ones(a.shape[:-2], dtype=bool)
-    adding = active[..., None, None]  # a view: follows the updates of active
-    for k in range(2, 60):
-        active &= _norm1(term) > 1e-17 * _norm1(total)
-        if not np.count_nonzero(active):
-            break
+    for k in range(2, int(np.max(last, initial=1)) + 1):
         term = term @ x
         term /= k
-        np.add(total, term, out=total, where=adding)
+        np.add(total, term, out=total, where=(last >= k)[..., None, None])
     for j in range(int(s.max(initial=0))):
         part = total[s > j]
         total[s > j] = part @ part
@@ -167,15 +172,14 @@ def char_poly(m):
     """
     a = _as_square(m, stacked=True)
     n = a.shape[-1]
-    eye = np.eye(n)
     desc = np.empty(a.shape[:-1])
-    mk = eye
+    am = a.copy()  # a @ I
     for k in range(1, n + 1):
-        am = a @ mk
         ck = -am.trace(axis1=-2, axis2=-1) / k
         desc[..., k - 1] = ck
-        if k < n:
-            mk = am + ck[..., None, None] * eye
+        if k < n:  # a @ (am + ck I), the diagonal shifted in place
+            am.reshape(a.shape[:-2] + (n * n,))[..., ::n + 1] += ck[..., None]
+            am = a @ am
     coeffs = desc[..., ::-1]
     return MonicPolynomial(coeffs) if a.ndim == 2 else coeffs
 
@@ -237,17 +241,18 @@ def _binary_exponent(m) -> np.ndarray:
     return np.frexp(np.abs(m).max(axis=(-2, -1)))[1]
 
 
-def _scale_free(f, m, overflowed):
+def _scale_free(f, m):
     """f(s) for a scale-invariant function f of the singular values s of each
-    matrix (rank, condition number). A slice whose result is ``overflowed``
-    (what an infinite sigma_max gives) is redone after division by 2^e;
-    every other slice keeps its exact bits."""
+    matrix (rank, condition number). A slice whose sigma_max overflows, or is
+    below 2^-969, where singular values at its rounding level underflow, is
+    redone after division by 2^e; every other slice keeps its exact bits."""
     a = as_matrix(m, stacked=True)
-    r = f(_singular_values(a))
-    hit = r == overflowed
-    if (np.count_nonzero(hit) if a.ndim > 2 else hit):  # a scalar test costs ~50 ns
-        r = np.array(r)
-        r[hit] = f(_singular_values(np.ldexp(a[hit], -_binary_exponent(a[hit])[..., None, None])))
+    s = _singular_values(a)
+    top = s[..., 0] if a.ndim > 2 else s[0]  # scalars compare in ~50 ns, 0-d arrays in ~500
+    hit = (top == np.inf) | ((top > 0) & (top < 2.0**-969))
+    if np.count_nonzero(hit) if a.ndim > 2 else hit:
+        s[hit] = _singular_values(np.ldexp(a[hit], -_binary_exponent(a[hit])[..., None, None]))
+    r = f(s)
     return r if a.ndim > 2 else r.item()
 
 
@@ -261,7 +266,7 @@ def numerical_rank(m, tol: float = DEFAULT_RANK_TOL):
     A stack of matrices gives an integer array of ranks.
     """
     _positive(tol, "tol")
-    return _scale_free(lambda s: np.count_nonzero(s > s.max(axis=-1, keepdims=True) * tol, axis=-1), m, 0)
+    return _scale_free(lambda s: np.count_nonzero(s > s.max(axis=-1, keepdims=True) * tol, axis=-1), m)
 
 
 def condition_estimate(m):
@@ -269,7 +274,7 @@ def condition_estimate(m):
 
     A stack of matrices gives an array of estimates.
     """
-    return _scale_free(_cond, m, math.inf)
+    return _scale_free(_cond, m)
 
 
 def _cond(s):

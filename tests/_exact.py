@@ -5,6 +5,7 @@ long series, whose exact values grow thousands of digits, in 40-digit
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 
@@ -58,6 +59,23 @@ def exact_char_poly(a):
         desc.append(Fraction(ck, 2 ** (e * k)))
         mk = bm + ck * eye
     return desc[::-1]
+
+
+def exact_exp(x):
+    """e^x of a float matrix x, as an object array of Fractions: its Taylor
+    series summed exactly up to the first term k whose tail, at most
+    r^(k+1) / (k+1)! / (1 - r / (k+2)) in the 1-norm (r = |x|_1), is below
+    2^-80."""
+    x = exact(x)
+    r = max(sum(map(abs, col)) for col in x.T)
+    term = np.identity(len(x), dtype=object)
+    total, k = term, 0
+    while True:
+        k += 1
+        term = term @ x / k
+        total = total + term
+        if r < k + 2 and r ** (k + 1) / factorial(k + 1) / (1 - r / (k + 2)) < Fraction(1, 2**80):
+            return total
 
 
 def exact_series(a, b, c, x, length):

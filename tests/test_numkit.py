@@ -23,7 +23,7 @@ from linident.experiments import CONTINUOUS_STEP, TrialConfig, _draw_block
 from linident.ident import _hankel, _lu_solve
 from linident.numkit import (DEFAULT_RANK_TOL, _binary_exponent, _cond_bracket, _cond_over, _dd,
                              _dd_matmul, _gram_certified, _norm1, _roots, _split, _two_sum, as_matrix)
-from _exact import bitwise_equal, exact, exact_char_poly, significant_bits
+from _exact import bitwise_equal, exact, exact_char_poly, exact_exp, significant_bits
 
 
 # exponents across float64's range, the split's pre-scaled top (|x| > 2^996),
@@ -143,6 +143,32 @@ class TestMatExp:
         for i in (0, 1, 3, 4):
             assert e[i].tobytes() == mat_exp(stack[i], 1.0).tobytes()
 
+    @staticmethod
+    def with_norm(n, r, rng):
+        """An n x n float matrix of 1-norm r to about 2^-33: 19-bit entries
+        times a 34-bit factor, so every entry is an exact product."""
+        m = rng.integers(-2**19, 2**19, (n, n)) / 2.0**19
+        mantissa, e = math.frexp(r / _norm1(m))
+        return m * math.ldexp(round(math.ldexp(mantissa, 34)), e - 34)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_accuracy_where_the_series_length_changes(self, n):
+        """Just below the reach r_k of the series ending at term k, and just
+        above it, where one term more runs; r = 0 gives exactly I, r = 1/2
+        ends at term 15, and past 1/2 (r_15 = 0.576) x is scaled first. Each
+        result is within 4 (n + 1) u |e^x|_1 of the exact exponential."""
+        rng = np.random.default_rng(n)
+        assert mat_exp(np.zeros((n, n))).tobytes() == np.eye(n).tobytes()
+        cases = [self.with_norm(n, 0.5, rng)]
+        for reach in numkit._TAYLOR_REACH:
+            below, above = (self.with_norm(n, reach * f, rng) for f in (1 - 2**-20, 1 + 2**-20))
+            assert _norm1(below) <= reach < _norm1(above)
+            cases += [below, above]
+        for x in cases:
+            want = exact_exp(x)
+            error = max(sum(map(abs, col)) for col in (exact(mat_exp(x)) - want).T)
+            assert error <= 4 * (n + 1) * 2.0**-53 * max(sum(map(abs, col)) for col in want.T)
+
 
 @pytest.mark.parametrize("shape", [(40, 1, 1), (40, 2, 2), (40, 3, 3), (40, 8, 8),
                                    (40, 12, 12), (33, 33), (130, 130)])
@@ -187,6 +213,53 @@ class TestCharPoly:
             want = exact_char_poly(a)
             error = max(abs(exact(g) - w) for g, w in zip(char_poly(a).coeffs, want))
             assert error <= bound * max(map(abs, want))
+
+
+    @staticmethod
+    def shifted_by_sum(a):
+        """Faddeev-LeVerrier with the shift written as a sum over every entry,
+        mk = am + ck I, and the first product a @ I: ascending coefficients."""
+        n = a.shape[-1]
+        eye = np.eye(n)
+        desc, mk = np.empty(a.shape[:-1]), eye
+        for k in range(1, n + 1):
+            am = a @ mk
+            ck = -am.trace(axis1=-2, axis2=-1) / k
+            desc[..., k - 1] = ck
+            mk = am + ck[..., None, None] * eye
+        return desc[..., ::-1]
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_in_place_shift_keeps_the_bits(self, n):
+        """The diagonal shifted in place gives the sum's bits, single matrices
+        and stacks alike (both run the same matmul, so under every kernel)."""
+        rng = np.random.default_rng(n)
+        jordan = np.eye(n, k=1) - 0.75 * np.eye(n)
+        cases = [np.zeros((n, n)), np.eye(n), jordan, np.eye(n, k=1)]
+        for scale in (1e-3, 1.0, 1e3):
+            cases += [rng.uniform(-1, 1, shape + (n, n)) * scale for shape in ((), (1,), (7,), (200,))]
+        for a in cases:
+            given = a.copy()
+            got = char_poly(a)
+            assert bitwise_equal(a, given)  # the shift writes to a copy
+            assert bitwise_equal(got.coeffs if a.ndim == 2 else got, self.shifted_by_sum(a))
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 12, 16])
+    def test_overflow_turns_the_same_coefficient_non_finite(self, n):
+        """Entries about 1e200 overflow a coefficient: the first non-finite one
+        (in the order Faddeev-LeVerrier computes them, a_{n-1} first) is the
+        sum's, and every one before it keeps the sum's bits. The later ones
+        may differ: the sum adds ck * 0 = NaN to every entry of an infinite
+        ck's shift, where the in-place shift touches only the diagonal and may
+        leave +-inf."""
+        a = np.random.default_rng(n).uniform(-1, 1, (50, n, n)) * 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = char_poly(a)[:, ::-1], self.shifted_by_sum(a)[:, ::-1]
+        first = np.argmin(np.isfinite(want), axis=-1)
+        assert not np.isfinite(want).all(axis=-1).any()
+        np.testing.assert_array_equal(np.argmin(np.isfinite(got), axis=-1), first)
+        before = np.arange(n) < first[:, None]
+        assert bitwise_equal(got[before], want[before])
 
 
 class TestCompanionMatrix:
@@ -331,6 +404,36 @@ class TestNearFloatLimit:
         assert numerical_rank(m) == 2
         assert numerical_rank(m.T) == 2
         assert math.isfinite(condition_estimate(m))
+
+    def test_one_svd_unless_out_of_range(self, monkeypatch):
+        """One SVD per call unless sigma_max overflows or is tiny: a zero
+        matrix's rank 0 and cond inf are the first SVD's answers."""
+        calls, svd = [], numkit._singular_values
+        monkeypatch.setattr(numkit, "_singular_values", lambda a: calls.append(a.shape) or svd(a))
+        for call, m in ((numerical_rank, np.zeros((3, 3))), (numerical_rank, np.zeros((4, 3, 3))),
+                        (condition_estimate, np.zeros((3, 3)))):
+            calls.clear()
+            call(m)
+            assert len(calls) == 1
+        calls.clear()
+        assert numerical_rank(np.stack((np.eye(2), self.Q, np.ldexp(np.eye(2), -1000)))).tolist() == [2, 2, 2]
+        assert calls == [(3, 2, 2), (2, 2, 2)]
+
+    @pytest.mark.parametrize("k", [-1000, -1060, -1074])
+    def test_tiny_matrix_reads_as_at_scale_one(self, k):
+        """Integer matrices times 2^k, entries down to subnormal: sigma_max
+        below 2^-969 is redone after division by 2^e, so rank and condition
+        number are those at scale 1, single and stacked. Unscaled, the
+        nonsingular one (det -1, cond about 4e6) loses its smallest singular
+        value to underflow at k = -1074, and its condition number's digits
+        at k = -1060."""
+        m = np.array([[[1000.0, 999.0], [999.0, 998.0]], [[3.0, 1.0], [3.0, 1.0]]])
+        tiny = np.ldexp(m, k)
+        assert numerical_rank(tiny).tolist() == numerical_rank(m).tolist() == [2, 1]
+        assert bitwise_equal(condition_estimate(tiny), condition_estimate(m))
+        for one, alone in zip(tiny, m):
+            assert numerical_rank(one) == numerical_rank(alone)
+            assert condition_estimate(one) == condition_estimate(alone)
 
     def test_stack_slices_as_alone(self):
         rng = np.random.default_rng(23)
