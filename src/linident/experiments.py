@@ -42,8 +42,8 @@ import numpy as np
 from .errors import DimensionMismatch
 from .dynsys import _iterate, krylov_matrix, observability_matrix
 from .ident import SINGULAR_CONDITION_CAP, _cap_exceeded, _hankel, _lu_solve
-from .numkit import (DEFAULT_RANK_TOL, _as_vector, _cond_over, _positive, char_poly,
-                     condition_estimate, discriminant, mat_exp, numerical_rank)
+from .numkit import (DEFAULT_RANK_TOL, _as_vector, _cond_bracket, _gram_certified, _positive,
+                     char_poly, condition_estimate, discriminant, mat_exp, numerical_rank)
 
 SUCCESS = "success"
 FAILURE = "failure"
@@ -187,10 +187,11 @@ def _evaluate(prop: str, c, a, x0, config: TrialConfig):
     with n = config.n.
 
     Each step runs once per block, on the trials whose outcome it can still
-    decide: one ``numkit._cond_over`` cascade decides every rank (cond_2 >
-    1 / DEFAULT_RANK_TOL) and every window's cap, its SVD only where its
-    screens leave them undecided; the solve and the truth polynomial run
-    only within the cap. A trial whose intermediate results overflow is a
+    decide. A rank (cond_2 > 1 / DEFAULT_RANK_TOL) is screened by
+    ``numkit._gram_certified``, a window's cap by ``numkit._cond_bracket``,
+    and ``condition_estimate`` decides only what its screen leaves open, as
+    it would alone; the solve and the truth polynomial run only within the
+    cap. A trial whose intermediate results overflow is a
     numerical rejection with error "NonFinite"; a trial whose Hankel window
     exceeds the condition cap is rejected before the solve. So no trial can
     make the block raise.
@@ -237,8 +238,12 @@ def _distinct_eigenvalues(a, n: int):
 
 def _full_rank(m, what: str):
     finite = np.isfinite(m).all(axis=(-2, -1))
-    codes = np.full(len(m), 2)
-    codes[finite] = _cond_over(m[finite], 1 / DEFAULT_RANK_TOL)
+    cap = 1 / DEFAULT_RANK_TOL
+    # the Gram certificate proves cond_2 <= cap / 2; the SVD decides what it leaves open
+    band = finite.copy()
+    band[finite] = ~_gram_certified(m[finite], cap / 2)
+    codes = np.where(finite, 0, 2)
+    codes[band] = condition_estimate(m[band]) > cap
     # a success is full rank by its outcome: only a failure's rank takes an SVD
     return codes, lambda i: ({"rank": int(numerical_rank(m[i])) if codes[i] else m.shape[-1]}
                              if finite[i] else _non_finite(what))
@@ -250,7 +255,11 @@ def _end_to_end(prop: str, c, a, x0, config: TrialConfig):
     y = _iterate(sampled, None, c, x0, 2 * n)
     finite = np.isfinite(y).all(axis=-1) & np.isfinite(sampled).all(axis=(-2, -1))
     h = _hankel(y[finite], 0, n)
-    within = ~_cond_over(h, config.cond_cap)
+    # the LU bracket proves cond_2 <= cap / 2 or > 2 cap; the SVD decides the band between
+    lo, hi = _cond_bracket(h)
+    within = hi <= config.cond_cap / 2
+    band = ~within & (lo <= 2 * config.cond_cap)
+    within[band] = condition_estimate(h[band]) <= config.cond_cap
     judged = np.zeros(len(a), dtype=bool)
     judged[finite] = within  # a singular window is over cap <= SINGULAR_CONDITION_CAP too
     sol = _lu_solve(h[within], y[finite][within, n:])

@@ -7,12 +7,13 @@ at the first term k with r^(k+1)/(k+1)! <= 2^-57, leaving out less than
 u |e^x|_1. Roots, ranks, condition numbers, solves and determinants
 come from LAPACK: every call runs numpy's own gufunc through ``_per_slice``,
 without ``np.linalg``'s per-call wrapper, and keeps the wrapper's bits and
-its LinAlgError. ``_cond_over`` decides cond_2 > cap for a stack as
-``condition_estimate`` does, in one cascade: ``_gram_certified`` proves
-cond_2 <= cap / 2, up to about 1e7, from one shifted Cholesky of the Gram
-matrix; ``_cond_bracket`` bounds cond_2 from one LU inverse; the SVD runs
-only on the slices they leave within a factor 2 of the cap. A slice that
-fails in either screen is NaN, and its neighbours keep their bits.
+its LinAlgError. Two screens let a caller decide cond_2 > cap for a stack
+as ``condition_estimate`` does, running the SVD only on what they leave
+open: ``_gram_certified`` proves cond_2 <= cap / 2, up to about 1e7, from
+one shifted Cholesky of the Gram matrix; ``_cond_bracket`` bounds cond_2
+from one LU inverse, proving it <= cap / 2 or > 2 cap. The factors of 2
+exceed the SVD's own p(n) eps cond error for any cap up to 1e10. A slice
+that fails in either screen is NaN, and its neighbours keep their bits.
 Targets small dense problems (n up to a few tens); no sparsity. Double-double
 (a float64 pair hi + lo, |lo| <= ulp(hi) / 2) serves long series: ``_dd``
 builds one from a float64 array, and ``_two_sum``, ``_split`` and
@@ -341,23 +342,6 @@ def _cond_bracket(m) -> tuple[np.ndarray, np.ndarray]:
         lo = np.sqrt(cols.max(axis=-1)) * fx / (math.sqrt(n) + r)
         hi = np.where(r <= 0.5, fm * fx / (1 - r), np.inf)
     return np.where(lo < np.inf, lo, 0.0), hi
-
-
-def _cond_over(m, cap) -> np.ndarray:
-    """Whether cond_2 > ``cap`` for each stacked finite square matrix, as
-    ``condition_estimate`` decides it. The Gram certificate proves cond_2 <=
-    cap / 2, the LU bracket hi <= cap / 2 or lo > 2 cap; only the slices
-    left between reach the SVD. The factors of 2 exceed the SVD's own
-    p(n) eps cond error for any cap up to 1e10."""
-    over = np.zeros(m.shape[:-2], dtype=bool)
-    band = ~_gram_certified(m, cap / 2)
-    if band.any():
-        lo, hi = _cond_bracket(m[band])
-        over[band] = lo > 2 * cap
-        band[band] = (hi > cap / 2) & (lo <= 2 * cap)
-    if band.any():
-        over[band] = condition_estimate(m[band]) > cap
-    return over
 
 
 def _two_sum(a, b):

@@ -137,7 +137,7 @@ def test_reports_do_not_depend_on_the_partition(prop, n, box, monkeypatch):
 
 def test_report_digest():
     """The reports of a grid of cells hash to the digest pinned when the
-    condition cascade was introduced: every screen must decide as the SVD
+    condition screens were introduced: every screen must decide as the SVD
     alone did, byte for byte, under every BLAS kernel."""
     digest = hashlib.sha256()
     for prop in ("observable", "krylov-independent", "end-to-end-identifiable"):
@@ -153,21 +153,24 @@ def test_report_digest():
         "8cdd870500755b2682f88bf6421203a7d22095aa9eb81c677b4a104b140cd065")
 
 
-def truth_slices(monkeypatch):
-    """The matrices the engine passes to char_poly, in call order."""
+def recorded(monkeypatch, name):
+    """The stacked matrices the engine passes to experiments.name, in call
+    order: the screens, the SVD, the solve and the truth polynomial are
+    called from there, not from inside numkit."""
     passed = []
+    f = getattr(experiments, name)
 
-    def recording(m):
+    def recording(m, *args):
         passed.extend(np.asarray(m).reshape(-1, *np.shape(m)[-2:]))
-        return char_poly(m)
+        return f(m, *args)
 
-    monkeypatch.setattr(experiments, "char_poly", recording)
+    monkeypatch.setattr(experiments, name, recording)
     return passed
 
 
 def test_no_truth_for_trials_over_the_cap(monkeypatch):
     config = TrialConfig(n=8, trials=200, seed=1)
-    passed = truth_slices(monkeypatch)
+    passed = recorded(monkeypatch, "char_poly")
     report = mc_estimate("end-to-end-continuous", config)
     assert report.numerical_rejections == config.trials
     assert passed == []
@@ -179,85 +182,124 @@ def test_truth_only_for_trials_within_the_cap(monkeypatch):
     within = [a for c, a, x0 in draws if evaluate_property(
         "end-to-end-identifiable", c, a, x0, config)[1]["condition_estimate"] <= config.cond_cap]
     assert 0 < len(within) < config.trials
-    passed = truth_slices(monkeypatch)
+    passed = recorded(monkeypatch, "char_poly")
     mc_estimate("end-to-end-identifiable", config)
     np.testing.assert_array_equal(passed, within)
 
 
-def recorded(monkeypatch, module, name):
-    """The stacked matrices passed to module.name, in call order."""
-    passed = []
-    f = getattr(module, name)
-
-    def recording(m, *args):
-        passed.extend(np.asarray(m).reshape(-1, *np.shape(m)[-2:]))
-        return f(m, *args)
-
-    monkeypatch.setattr(module, name, recording)
-    return passed
+def stages(monkeypatch):
+    """The matrices passed to the Gram certificate, the LU bracket and the SVD."""
+    return (recorded(monkeypatch, name)
+            for name in ("_gram_certified", "_cond_bracket", "condition_estimate"))
 
 
-def svd_slices(monkeypatch):
-    """The matrices the condition cascade passes to its deciding SVD."""
-    return recorded(monkeypatch, numkit, "condition_estimate")
-
-
-@pytest.mark.parametrize("prop", ["observable", "krylov-independent", "end-to-end-identifiable"])
+@pytest.mark.parametrize("prop", ["end-to-end-identifiable"])
 def test_bracket_decides_without_svd(prop, monkeypatch):
-    """At the default box and cap every n = 8 rank is proved by the Gram
-    certificate and every window decided by it or the LU condition bracket:
-    no slice reaches the SVD."""
-    passed = svd_slices(monkeypatch)
+    """At the default box and cap the LU bracket decides every n = 8 window:
+    no window reaches the Gram certificate or the SVD."""
+    gram, bracketed, passed = stages(monkeypatch)
     report = mc_estimate(prop, TrialConfig(n=8, trials=200, seed=1))
     assert report.successes == 200
-    assert passed == []
-
-
-def bracket_slices(monkeypatch):
-    """The matrices the condition cascade passes to its LU bracket."""
-    return recorded(monkeypatch, numkit, "_cond_bracket")
+    assert len(bracketed) == 200
+    assert gram == [] and passed == []
 
 
 @pytest.mark.parametrize("prop", ["observable", "krylov-independent"])
 def test_gram_certificate_decides_ranks(prop, monkeypatch):
     """At n = 8 the Gram certificate proves every rank: no slice reaches the
     LU bracket or the SVD."""
-    bracketed, passed = bracket_slices(monkeypatch), svd_slices(monkeypatch)
+    gram, bracketed, passed = stages(monkeypatch)
     report = mc_estimate(prop, TrialConfig(n=8, trials=200, seed=1))
     assert report.successes == 200
+    assert len(gram) == 200
     assert bracketed == [] and passed == []
 
 
 @pytest.mark.parametrize("prop", ["observable", "krylov-independent"])
-def test_bracket_decides_perron_ranks(prop, monkeypatch):
+def test_perron_ranks_reach_the_svd(prop, monkeypatch):
     """At box [0, 1] (no rescale) the Perron eigenvalue aligns the powers of A:
-    the LU bracket's lower bound proves every n = 12 matrix rank-deficient,
-    no matrix reaches the deciding SVD, and only the ten reported failures
-    are ranked."""
+    the Gram certificate proves no n = 12 rank, so every matrix reaches the
+    SVD, never the LU bracket, and only the ten reported failures are ranked."""
     config = TrialConfig(n=12, trials=200, seed=1, box=SamplingBox(0.0, 1.0))
-    draws = [draw_sample(config, i) for i in range(10)]
-    reported = [observability_matrix(a, c) if prop == "observable" else krylov_matrix(a, x0)
-                for c, a, x0 in draws]
-    passed, ranked = svd_slices(monkeypatch), recorded(monkeypatch, experiments, "numerical_rank")
+    matrices = [observability_matrix(a, c) if prop == "observable" else krylov_matrix(a, x0)
+                for c, a, x0 in (draw_sample(config, i) for i in range(config.trials))]
+    gram, bracketed, passed = stages(monkeypatch)
+    ranked = recorded(monkeypatch, "numerical_rank")
     report = mc_estimate(prop, config)
     assert report.failures == 200
-    assert passed == []
-    np.testing.assert_array_equal(ranked, reported)
+    assert bracketed == []
+    np.testing.assert_array_equal(gram, matrices)
+    np.testing.assert_array_equal(passed, matrices)
+    np.testing.assert_array_equal(ranked, matrices[:10])
 
 
 def test_svd_band_and_lu_solve_of_judged_trials(monkeypatch):
-    """Under cond_cap = 1e6 some windows fall within a factor 2 of the cap
-    and reach the SVD; the LU solve sees exactly the judged windows."""
+    """Under cond_cap = 1e6 the SVD sees exactly the windows the LU bracket
+    leaves open, hi > cap / 2 and lo <= 2 cap; the LU solve sees exactly the
+    judged windows, and no window reaches the Gram certificate."""
     config = TrialConfig(n=8, trials=200, seed=1, cond_cap=1e6)
-    draws = [draw_sample(config, i) for i in range(config.trials)]
-    within = [experiments._hankel(experiments._iterate(a, None, c, x0, 16), 0, 8)
-              for c, a, x0 in draws if evaluate_property(
-                  "end-to-end-identifiable", c, a, x0, config)[1]["condition_estimate"] <= 1e6]
-    passed, solved = svd_slices(monkeypatch), recorded(monkeypatch, experiments, "_lu_solve")
-    mc_estimate("end-to-end-identifiable", config)
-    assert 0 < len(passed) < config.trials
-    assert 0 < len(within) < config.trials
-    np.testing.assert_array_equal(solved, within)
+    windows = np.array([experiments._hankel(experiments._iterate(a, None, c, x0, 16), 0, 8)
+                        for c, a, x0 in (draw_sample(config, i) for i in range(config.trials))])
+    lo, hi = numkit._cond_bracket(windows)
+    band = (hi > config.cond_cap / 2) & (lo <= 2 * config.cond_cap)
+    within = numkit.condition_estimate(windows) <= config.cond_cap
+    gram, bracketed, passed = stages(monkeypatch)
+    solved = recorded(monkeypatch, "_lu_solve")
+    report = mc_estimate("end-to-end-identifiable", config)
+    assert report.failures == 0  # no reported failure adds a diagnostic SVD
+    assert 0 < band.sum() < config.trials
+    assert 0 < within.sum() < config.trials
+    assert gram == []
+    np.testing.assert_array_equal(bracketed, windows)
+    np.testing.assert_array_equal(passed, windows[band])
+    np.testing.assert_array_equal(solved, windows[within])
+
+
+def spread_conditions(n, cap, count=200):
+    """count matrices of order n with cond_2 from cap / 1000 to 1000 cap."""
+    rng = np.random.default_rng(n)
+    u, v = np.linalg.qr(rng.standard_normal((2, count, n, n)))[0]
+    sigma = np.geomspace(1, 1 / (cap * np.geomspace(1e-3, 1e3, count)), n, axis=-1)
+    return u * sigma[:, None, :] @ v.swapaxes(-2, -1)
+
+
+BOXES = ((-1.0, 1.0), (0.0, 1.0))  # both judged without rescale
+
+
+@pytest.mark.parametrize("n", [2, 5, 12, 16])
+def test_rank_decisions_match_the_svd(n):
+    """A rank fails exactly when condition_estimate exceeds 1 / DEFAULT_RANK_TOL:
+    on matrices with cond_2 from 1e6 to 1e12, a zero matrix, and the
+    observability and Krylov matrices of draws from each box."""
+    cap = 1 / numkit.DEFAULT_RANK_TOL
+    m = [spread_conditions(n, cap), np.zeros((1, n, n))]
+    for box in BOXES:
+        c, a, x0 = experiments._draw_block(TrialConfig(n=n, trials=200, seed=n, box=SamplingBox(*box)),
+                                           0, 200)
+        m += [observability_matrix(a, c), krylov_matrix(a, x0)]
+    m = np.concatenate(m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        codes, _ = experiments._full_rank(m, "matrix")
+    np.testing.assert_array_equal(codes, numkit.condition_estimate(m) > cap)
+
+
+@pytest.mark.parametrize("cap", [1e6, 1e10])
+@pytest.mark.parametrize("n", [2, 5, 12, 16])
+def test_window_decisions_match_the_svd(n, cap):
+    """A trial is judged exactly when condition_estimate of its Hankel window
+    is within cond_cap, for discrete and continuous draws from each box."""
+    for prop in ("end-to-end-identifiable", "end-to-end-continuous"):
+        for box in BOXES:
+            config = TrialConfig(n=n, trials=200, seed=n, box=SamplingBox(*box), cond_cap=cap)
+            c, a, x0 = experiments._draw_block(config, 0, 200)
+            sampled = a if prop == "end-to-end-identifiable" else numkit.mat_exp(a, CONTINUOUS_STEP)
+            windows = experiments._hankel(experiments._iterate(sampled, None, c, x0, 2 * n), 0, n)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                codes, _ = _evaluate(prop, c, a, x0, config)
+            np.testing.assert_array_equal(codes != 2, numkit.condition_estimate(windows) <= cap,
+                                          err_msg=f"{prop} {box}")
 
 
 def mixed_block(n):

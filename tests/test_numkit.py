@@ -21,8 +21,8 @@ from linident import numkit
 from linident.dynsys import _iterate, krylov_matrix, observability_matrix
 from linident.experiments import CONTINUOUS_STEP, TrialConfig, _draw_block
 from linident.ident import _hankel, _lu_solve
-from linident.numkit import (DEFAULT_RANK_TOL, _binary_exponent, _cond_bracket, _cond_over, _dd,
-                             _dd_matmul, _gram_certified, _norm1, _roots, _split, _two_sum, as_matrix)
+from linident.numkit import (DEFAULT_RANK_TOL, _binary_exponent, _cond_bracket, _dd, _dd_matmul,
+                             _gram_certified, _norm1, _roots, _split, _two_sum, as_matrix)
 from _exact import bitwise_equal, exact, exact_char_poly, exact_exp, significant_bits
 
 
@@ -611,37 +611,6 @@ class TestGramCertificate:
         assert np.abs(near_limit).max() > 1e308
         for scaled in (np.ldexp(m, 600), np.ldexp(m, -600), near_limit):
             np.testing.assert_array_equal(_gram_certified(scaled, self.CAP), want)
-
-
-class TestCondOver:
-    """_cond_over decides cond_2 > cap as condition_estimate does, and runs
-    the SVD only on the slices its screens leave undecided."""
-
-    @pytest.mark.parametrize("cap", [1e6, 1e9, 1e10])
-    @pytest.mark.parametrize("n", [2, 5, 12])
-    def test_matches_condition_estimate(self, n, cap):
-        # cond_2 from cap / 1000 to 1000 cap, across every stage's threshold
-        rng = np.random.default_rng(n)
-        u, v = np.linalg.qr(rng.standard_normal((2, 200, n, n)))[0]
-        sigma = np.geomspace(1, 1 / (cap * np.geomspace(1e-3, 1e3, 200)), n, axis=-1)
-        m = u * sigma[:, None, :] @ v.swapaxes(-2, -1)
-        m[7] = 0.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            over = _cond_over(m, cap)
-        np.testing.assert_array_equal(over, condition_estimate(m) > cap)
-        assert 0 < over.sum() < len(m)
-
-    def test_svd_only_on_the_band(self, monkeypatch):
-        m = np.random.default_rng(41).uniform(-1, 1, (50, 6, 6))
-        m[3] = observability_matrix(np.eye(6), m[3, 0])  # an exact zero pivot: bracket (0, inf)
-        passed, svd = [], numkit.condition_estimate
-        monkeypatch.setattr(numkit, "condition_estimate", lambda s: passed.extend(s) or svd(s))
-        assert np.flatnonzero(_cond_over(m, 1e9)).tolist() == [3]
-        np.testing.assert_array_equal(passed, m[3:4])
-        passed.clear()
-        assert not _cond_over(np.delete(m, 3, axis=0), 1e9).any()
-        assert passed == []
 
 
 def failing(gufunc):
