@@ -29,8 +29,6 @@ from .numkit import (
     MonicPolynomial,
     _as_vector,
     _binary_exponent,
-    _dd,
-    _dd_matmul,
     _positive,
     _roots,
     _solve,
@@ -232,28 +230,27 @@ def _window_residual(y, k, n, coeffs, offset) -> float:
 def predict(model: PredictionModel, seed, steps: int) -> TimeSeries:
     """Continue the recurrence past the last n observed values.
 
-    The loop: step i is offset - coeffs · w_i in float64, w_i being the n
-    values before it. Where ``dynsys._blocks`` gives a series for the
-    companion realisation (A the companion matrix, drive offset e_n,
-    c = e_n, x0 the seed, steps + 1 states), the prediction is that series,
-    kept only if ``_accepted``: then it solves the recurrence as closely as
-    the loop, step by step. Otherwise the loop runs from the start, and a
-    diverging prediction raises NonFinite naming its first non-finite step.
+    Where ``dynsys._blocks`` gives a series for the companion realisation
+    (A the companion matrix, drive offset e_n, c = e_n, x0 the seed,
+    steps + 1 states), the prediction is that series after its first value,
+    the seed's last. Otherwise the loop runs: step i is offset - coeffs · w_i
+    in float64, w_i being the n values before it. A diverging prediction
+    raises NonFinite naming its first non-finite step.
     """
     window = _as_vector(seed, model.order, "seed window")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     coeffs, n = model.coeffs, model.order
     offset = 0.0 if model.offset is None else model.offset
-    buf = np.empty(n + steps)
-    buf[:n] = window
-    out = buf[n:]
     with np.errstate(over="ignore", invalid="ignore"):
         last = np.eye(n)[-1]
         y = dynsys._blocks(model.companion, offset * last if offset else None, last, window, steps + 1)
         if y is not None:
-            out[:] = y[1:]
-        if y is None or not _accepted(coeffs, offset, buf):
+            out = y[1:]
+        else:
+            buf = np.empty(n + steps)
+            buf[:n] = window
+            out = buf[n:]
             # window i is buf[i:i + n]: its last entry, out[i - 1], was written by
             # the step before. coeffs.dot runs the same 1-D kernel as coeffs @ w.
             dot = coeffs.dot
@@ -261,26 +258,6 @@ def predict(model: PredictionModel, seed, steps: int) -> TimeSeries:
                 out[i] = offset - dot(w)
     _require_finite(out, "prediction", "step")
     return TimeSeries(out, step=model.step)
-
-
-def _accepted(coeffs, offset, buf) -> bool:
-    """Whether every step of buf[n:] has a defect y_{i+n} + coeffs · w_i -
-    offset, in double-double, within the loop's own rounding bound
-    (n+1) u (|offset| + |coeffs| · |w_i|), u = 2^-53. A non-finite value
-    fails: the first one has a finite window, so its defect is inf or NaN.
-    Chunks of 4096 steps bound the double-double temporaries."""
-    n = coeffs.size
-    u = (n + 1) * np.finfo(float).epsneg
-    row = _dd(np.append(coeffs, 1.0)[:, None])
-    for j in range(0, buf.size - n, 4096):
-        y = buf[j:j + 4096 + n]
-        m = y.size - n
-        hi, lo, _ = _dd_matmul(_dd(_hankel(y, 0, n + 1, m)), row)
-        defect = np.abs((hi[:, 0] - offset) + lo[:, 0])
-        bound = _hankel(np.abs(y), 0, n, m) @ (u * np.abs(coeffs)) + u * abs(offset)
-        if not np.all(defect <= bound):
-            return False
-    return True
 
 
 def estimate_order(series: TimeSeries, n_max: int) -> int:

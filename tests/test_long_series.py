@@ -9,18 +9,18 @@ repeat their loops' arithmetic. For one system past ``dynsys._loop_length``
 states both run one block path, ``dynsys._blocks``, in double-double: a
 doubling scan of the states between blocks of 64 outputs, each block filled
 by one correctly rounded product; a prediction is the simulation of the
-model's companion realisation, kept only if ``ident._accepted``. ``_blocks``
-alone decides between blocks and loop, and the threshold is pinned on both
-sides for both callers. Both are held to the exact series instead,
-``_exact.exact_series`` (40-digit decimal): simulation's error must be at
-most twice the loop's, on rotation systems and on their non-normal
-companion matrices alike, and prediction's within half an ulp of its
-largest value. Where their blocks cannot be used (a stack of systems, a
-short series), would cancel, or fail prediction's acceptance test, each
-must equal its loop bit for bit.
+model's companion realisation. ``_blocks`` alone decides between blocks
+and loop, and the threshold is pinned on both sides for both callers. Both
+are held to the exact series instead, ``_exact.exact_series`` (40-digit
+decimal): simulation's error must be at most twice the loop's, on rotation
+systems and on their non-normal companion matrices alike, and prediction's
+at most the loop's and within half an ulp of its largest value. Where
+their blocks cannot be used (a stack of systems, a short series) or would
+cancel, each must equal its loop bit for bit.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -184,30 +184,26 @@ def unit_circle_model(n, offset):
 
 @pytest.fixture
 def block_results(monkeypatch):
-    """For each prediction that built blocks (``dynsys._blocks`` ran
-    ``_doubling``): True where they were kept (``_blocks`` gave a series and
-    ``ident._accepted`` held)."""
+    """For each prediction whose ``dynsys._blocks`` built blocks (ran
+    ``_doubling``): True where it gave a series, False where it gave None.
+    ``predict`` reaches ``_blocks`` as ``ident.dynsys._blocks``, so a
+    stand-in module there sees its calls and none that a test makes."""
     results, built = [], []
-    blocks, doubling, accepted = dynsys._blocks, dynsys._doubling, ident._accepted
+    blocks, doubling = dynsys._blocks, dynsys._doubling
 
     def spy_blocks(*args):
         built.clear()
         y = blocks(*args)
-        if y is None and built:
-            results.append(False)
+        if built:
+            results.append(y is not None)
         return y
 
     def spy_doubling(*args):
         built.append(True)
         return doubling(*args)
 
-    def spy_accepted(*args):
-        results.append(accepted(*args))
-        return results[-1]
-
-    monkeypatch.setattr(dynsys, "_blocks", spy_blocks)
+    monkeypatch.setattr(ident, "dynsys", SimpleNamespace(_blocks=spy_blocks))
     monkeypatch.setattr(dynsys, "_doubling", spy_doubling)
-    monkeypatch.setattr(ident, "_accepted", spy_accepted)
     return results
 
 
@@ -247,18 +243,6 @@ def test_short_predictions_are_the_loop(series, block_results, n, offset):
     assert block_results == []
 
 
-@pytest.mark.parametrize("n", NS)
-def test_acceptance_bound_is_the_loops_rounding(series, n):
-    """The loop's own steps pass; a step moved by three times its bound fails."""
-    model = unit_circle_model(n, OFFSET)
-    seed = series.values[-n:]
-    buf = np.concatenate((seed, reference_predict(model, seed, LENGTH)))
-    assert ident._accepted(model.coeffs, OFFSET, buf)
-    j = n + LENGTH // 2
-    buf[j] += 3 * (n + 1) * 2.0**-53 * (OFFSET + np.abs(model.coeffs) @ np.abs(buf[j - n:j]))
-    assert not ident._accepted(model.coeffs, OFFSET, buf)
-
-
 def test_clustered_slow_rotations_run_the_loop(block_results):
     """The companion of three slow rotations at nearly the same angle: its
     block products cancel past _CANCELLATION (ratio 3e8 and more), so the
@@ -275,23 +259,29 @@ def test_clustered_slow_rotations_run_the_loop(block_results):
     assert bitwise_equal(got.values, want)
 
 
-def test_refused_blocks_give_the_loop(series, block_results):
-    """Three pairs of roots clustered near -1 (moduli 1, 0.998 and 1.001):
-    ``_blocks`` gives a series, but its defects exceed the acceptance bound
-    some 2000-fold, so ``predict`` returns the loop's bits, which differ
-    from the blocks'. (The refused blocks err by 1.3e-12 of the largest
-    value against the exact series; the loop by 4.3e-9.)"""
+def clustered_near_minus_one():
+    """Three pairs of roots clustered near -1 (moduli 1, 0.998 and 1.001),
+    with exact few-bit dyadic coefficients."""
     poly = np.ones(1)
     for p, q in [(2 - 2**-6, 1 + 2**-9), (2 - 2**-5, 1 - 2**-8), (2 - 2**-5, 1.0)]:
-        poly = np.convolve(poly, [1.0, p, q])  # exact: few-bit dyadic coefficients
-    model = PredictionModel(poly[:0:-1])
+        poly = np.convolve(poly, [1.0, p, q])
+    return PredictionModel(poly[:0:-1])
+
+
+def test_clustered_near_minus_one_keeps_its_blocks(series, block_results):
+    """``_blocks`` gives a series, and ``predict`` returns it bit for bit:
+    over 5 000 steps it errs by 1.3e-12 of the largest value against the
+    exact series, the loop by 4.3e-9."""
+    model = clustered_near_minus_one()
     seed = series.values[-6:]
     got = predict(model, seed, EXACT_LENGTH)
-    want = reference_predict(model, seed, EXACT_LENGTH)
-    assert bitwise_equal(got.values, want)
-    assert block_results == [False]
+    assert block_results == [True]
     y = dynsys._blocks(*companion_realisation(model), seed, EXACT_LENGTH + 1)
-    assert y is not None and not np.array_equal(y[1:], want)
+    assert bitwise_equal(got.values, y[1:])
+    exact = exact_series(*companion_realisation(model), seed, EXACT_LENGTH + 1)[1:]
+    error = relative_error(got.values, exact)
+    assert error <= relative_error(reference_predict(model, seed, EXACT_LENGTH), exact)
+    assert error < 1e-11
 
 
 def test_cancelling_blocks_give_way_per_system():
@@ -321,6 +311,23 @@ def test_diverging_prediction_names_the_loops_step(block_results):
     with pytest.raises(NonFinite, match=f"^prediction diverges: step {first} of 3000 is not finite$"):
         predict(model, [1.0], 3000)
     assert block_results == [False]
+
+
+def test_kept_blocks_that_overflow_name_the_loops_step(block_results):
+    """y_i = 1.01^i y_0 from y_0 = 2^1023 / 1.01^1920 overflows at step 1990,
+    inside the last block: only the scaled block products are checked, so
+    ``_blocks`` gives the series with its inf, ``predict`` keeps it, and
+    NonFinite names the step that the loop would."""
+    model, seed = PredictionModel([-1.01]), [2.0**1023 / 1.01**1920]
+    y = dynsys._blocks(*companion_realisation(model), np.array(seed), 2001)
+    last = (2001 - 1) // dynsys._BLOCK * dynsys._BLOCK
+    assert y is not None and np.isfinite(y[:last]).all() and np.isinf(y[last:]).any()
+    with np.errstate(over="ignore"):
+        loop = reference_predict(model, seed, 2000)
+    assert int(np.argmin(np.isfinite(loop))) + 1 == 1990
+    with pytest.raises(NonFinite, match="^prediction diverges: step 1990 of 2000 is not finite$"):
+        predict(model, seed, 2000)
+    assert block_results == [True]
 
 
 @pytest.mark.parametrize("n", [64, 70, 130])

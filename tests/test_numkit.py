@@ -30,7 +30,7 @@ from _exact import bitwise_equal, exact, exact_char_poly, exact_exp, significant
 # the largest double whose 26-bit parts stay finite, subnormals, signed zeros
 EDGES = [1.5e308, -2.0**1000 * 1.2345, (2 - 2.0**-25) * 2.0**1023, 2.0**996, 2.0**997,
          5e-324, -3e-310, 2.0**-1022, 0.0, -0.0, 1.0, -1.0 / 3]
-# (windows, length) of the Hankel view that ident._accepted multiplies
+# (windows, length) of a read-only Hankel view of a series as the left operand
 WINDOWS = (40, 7)
 
 
@@ -70,9 +70,8 @@ class TestDoubleDouble:
     def test_product_against_the_exact_one(self, shape_a, shape_b):
         """hi + lo errs by at most m 2^-104 |a||b| (measured: 3 * 2^-106), hi is
         the correctly rounded exact product, and mag is |a_hi| @ |b_hi|;
-        leading axes broadcast. WINDOWS gives the operands of
-        ``ident._accepted``: the read-only Hankel view of a series times a
-        column, every low part zero."""
+        leading axes broadcast. WINDOWS multiplies the read-only, overlapping
+        Hankel view of a series, every low part zero, by a column."""
         rng = np.random.default_rng(14)
         if shape_a == WINDOWS:
             k = sum(shape_a) - 1
