@@ -17,11 +17,11 @@ from .numkit import (
     _as_square,
     _as_vector,
     _binary_exponent,
+    _char_coeffs,
     _dd,
     _dd_matmul,
     _positive,
     _solve,
-    char_poly,
     mat_exp,
     numerical_rank,
 )
@@ -136,6 +136,13 @@ def _loop_length(m: int) -> int:
     return 1024 + m**3 // 4
 
 
+def _loops(length: int, n: int, drive: bool) -> bool:
+    """True for a series of ``length`` states of an order-n system, with an
+    affine drive or not, that ``_blocks`` leaves to the loop by length alone:
+    the one length rule, which lets a caller skip building the system."""
+    return length <= _loop_length(n + drive)
+
+
 def _powers(a, x, length: int, b=None) -> np.ndarray:
     """States x_0 = x, x_{i+1} = a x_i (+ b), i < length, stacked on axis -2;
     leading axes of ``a`` and ``x`` broadcast. The one power loop: it serves
@@ -221,10 +228,11 @@ def _blocks(a, b, c, x, length: int):
     systems, a series of at most ``_loop_length`` states, an entry of Φ that
     overflows or is subnormal in float64, or a product on the way that
     cancels past _CANCELLATION or is not finite. The one place that picks
-    blocks or loop. An affine drive is one more state entry, fixed at 1;
+    blocks or loop; its length rule is ``_loops``, which a caller may ask
+    first. An affine drive is one more state entry, fixed at 1;
     Φ_k = c A^k and P = A^_BLOCK come by doubling."""
     n, drive = a.shape[-1], b is not None
-    if length <= _loop_length(n + drive) or a.ndim > 2 or max(np.ndim(b), c.ndim, x.ndim) > 1:
+    if _loops(length, n, drive) or a.ndim > 2 or max(np.ndim(b), c.ndim, x.ndim) > 1:
         return None
     if drive:
         a = np.block([[a, b[:, None]], [np.zeros((1, n)), np.ones((1, 1))]])
@@ -317,11 +325,12 @@ def _sampled_matrix(sys: SystemSpec) -> np.ndarray:
 
 
 def char_poly_of_sampled(sys: SystemSpec) -> MonicPolynomial:
-    """char_poly of A (discrete) or of exp(step*A) (continuous); NonFinite
-    when the sampled matrix or the polynomial overflows."""
+    """char_poly of A (discrete) or of exp(step*A) (continuous), from its
+    unchecked coefficients; NonFinite when the sampled matrix or the
+    polynomial overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         m = _sampled_matrix(sys)
         _require_finite(m, "sampled matrix", "entry")
-        coeffs = char_poly(m[None])[0]  # the stacked form returns unchecked coefficients
+        coeffs = _char_coeffs(m)
     _require_finite(coeffs, "characteristic polynomial", "coefficient")
     return MonicPolynomial(coeffs)

@@ -10,6 +10,7 @@ map the model back to a continuous-time spectrum.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ from .errors import (
     ZeroRoot,
 )
 from . import dynsys
-from .dynsys import SystemSpec, TimeSeries, _require_finite, char_poly_of_sampled
+from .dynsys import SystemSpec, TimeSeries, _loops, _require_finite, char_poly_of_sampled
 from .numkit import (
     MonicPolynomial,
     _as_vector,
@@ -156,10 +157,10 @@ def _lu_solve(h, b) -> np.ndarray:
     window whose largest |entry| times 2^m would overflow is solved with its
     rhs divided by 2^e; every other window keeps its bits.
     """
-    e = _binary_exponent(h)
-    near_limit = e > np.finfo(float).maxexp - h.shape[-1]
+    # _binary_exponent(h) > maxexp - m, read as max |entry| >= 2^(maxexp - m)
+    near_limit = np.abs(h).max(axis=(-2, -1)) >= 2.0 ** (np.finfo(float).maxexp - h.shape[-1])
     if near_limit.any():
-        e = np.where(near_limit, e, 0)
+        e = np.where(near_limit, _binary_exponent(h), 0)
         h, b = np.ldexp(h, -e[..., None, None]), np.ldexp(b, -e[..., None])
     return _solve(h, b)
 
@@ -233,7 +234,8 @@ def predict(model: PredictionModel, seed, steps: int) -> TimeSeries:
     Where ``dynsys._blocks`` gives a series for the companion realisation
     (A the companion matrix, drive offset e_n, c = e_n, x0 the seed,
     steps + 1 states), the prediction is that series after its first value,
-    the seed's last. Otherwise the loop runs: step i is offset - coeffs · w_i
+    the seed's last; the realisation is built only past the length rule
+    ``dynsys._loops``. Otherwise the loop runs: step i is offset - coeffs · w_i
     in float64, w_i being the n values before it. A diverging prediction
     raises NonFinite naming its first non-finite step.
     """
@@ -243,8 +245,10 @@ def predict(model: PredictionModel, seed, steps: int) -> TimeSeries:
     coeffs, n = model.coeffs, model.order
     offset = 0.0 if model.offset is None else model.offset
     with np.errstate(over="ignore", invalid="ignore"):
-        last = np.eye(n)[-1]
-        y = dynsys._blocks(model.companion, offset * last if offset else None, last, window, steps + 1)
+        y = None
+        if not _loops(steps + 1, n, bool(offset)):
+            last = np.eye(n)[-1]
+            y = dynsys._blocks(model.companion, offset * last if offset else None, last, window, steps + 1)
         if y is not None:
             out = y[1:]
         else:
@@ -272,16 +276,26 @@ def estimate_order(series: TimeSeries, n_max: int) -> int:
     # blocks, not one stack, bound the padded work when n_max >> order
     rank = -1  # of H_{m-1}; no H_0, so m = 1 decides nothing
     for lo in range(1, n_max + 2, RANK_BLOCK):
-        sizes = np.arange(lo, min(lo + RANK_BLOCK, n_max + 2))
-        i = np.arange(sizes[-1])
-        inside = np.maximum.outer(i, i) < sizes[:, None, None]
-        padded = np.where(inside, _hankel(series.values, 0, sizes[-1]), 0.0)
+        hi = min(lo + RANK_BLOCK, n_max + 2)
+        # cached up to H_64 only: 16 masks of at most 8 x 64 x 64 bytes stay alive
+        inside = _padding(lo, hi) if hi <= 65 else _padding.__wrapped__(lo, hi)
+        padded = np.where(inside, _hankel(series.values, 0, hi - 1), 0.0)
         ranks = numerical_rank(padded)
-        for m, next_rank in zip(sizes.tolist(), ranks.tolist()):
+        for m, next_rank in zip(range(lo, hi), ranks.tolist()):
             if rank == m - 1 and next_rank < m:
                 return m - 1
             rank = next_rank
     raise NoOrderFound(f"no order up to {n_max} fits the Hankel rank criterion")
+
+
+@functools.lru_cache(maxsize=16)
+def _padding(lo: int, hi: int) -> np.ndarray:
+    """Read-only mask, True inside H_m of the stack H_lo ... H_{hi-1},
+    each padded to the largest: ``estimate_order``'s block, built once."""
+    i = np.arange(hi - 1)
+    inside = np.maximum.outer(i, i) < np.arange(lo, hi)[:, None, None]
+    inside.flags.writeable = False
+    return inside
 
 
 def verify_conjugacy(model: PredictionModel, sys: SystemSpec,

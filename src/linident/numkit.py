@@ -23,11 +23,14 @@ builds one from a float64 array, and ``_two_sum``, ``_split`` and
 ``condition_estimate`` also take stacks: leading axes in front of the matrix
 (or coefficient) axes, each slice handled as if it were passed alone. A
 single matrix is the unstacked case and keeps its scalar or
-``MonicPolynomial`` result. One rescale serves every rank, condition estimate,
-certificate, bracket, solve and block state: the exact division by 2^e, e =
-``_binary_exponent``; a rank or condition number whose sigma_max overflows
-or is below 2^-969 is redone after it, and a certificate or bracket always
-starts from it.
+``MonicPolynomial`` result. One Faddeev-LeVerrier loop, ``_char_coeffs``,
+serves both; ``char_poly`` on a stack (for ``experiments``) and
+``dynsys.char_poly_of_sampled`` (which raises NonFinite) take its
+coefficients unchecked for overflow. One rescale serves every rank,
+condition estimate, certificate, bracket, solve and block state: the exact
+division by 2^e, e = ``_binary_exponent``; a rank or condition number
+whose sigma_max overflows or is below 2^-969 is redone after it, and a
+certificate or bracket always starts from it.
 """
 
 from __future__ import annotations
@@ -152,15 +155,19 @@ def mat_exp(m, t: float = 1.0) -> np.ndarray:
     s = np.where(finite, s, 0).astype(int)
     x = np.where(finite[..., None, None], np.ldexp(x, -s[..., None, None]), np.nan)
     last = 1 + np.searchsorted(_TAYLOR_REACH, np.where(finite, np.ldexp(norm, -s), 0.0))
+    top, steps = int(np.max(last, initial=1)), int(s.max(initial=0))
+    # every slice sums terms up to ``full`` and squares ``fewest`` times: no mask there
+    full, fewest = int(np.min(last, initial=top)), int(s.min(initial=steps))
     # term 1 is x, not I @ x: they differ in signs of zeros, which total loses
     term, total = x, x + np.eye(a.shape[-1])
-    for k in range(2, int(np.max(last, initial=1)) + 1):
+    for k in range(2, top + 1):
         term = term @ x
         term /= k
-        np.add(total, term, out=total, where=(last >= k)[..., None, None])
-    for j in range(int(s.max(initial=0))):
-        part = total[s > j]
-        total[s > j] = part @ part
+        np.add(total, term, out=total, where=k <= full or (last >= k)[..., None, None])
+    for j in range(steps):
+        live = ... if j < fewest else s > j  # ...: every slice, as a view
+        part = total[live]
+        total[live] = part @ part
     return total
 
 
@@ -169,20 +176,31 @@ def char_poly(m):
 
     A stack of matrices (..., n, n) gives the (..., n) array of ascending
     coefficients (a_0, ..., a_{n-1}) instead of a MonicPolynomial; its
-    entries are not checked for overflow.
+    entries are not checked for overflow. ``dynsys.char_poly_of_sampled``
+    takes them unchecked too, from ``_char_coeffs``, and checks them itself.
     """
     a = _as_square(m, stacked=True)
-    n = a.shape[-1]
-    desc = np.empty(a.shape[:-1])
-    am = a.copy()  # a @ I
-    for k in range(1, n + 1):
-        ck = -am.trace(axis1=-2, axis2=-1) / k
-        desc[..., k - 1] = ck
-        if k < n:  # a @ (am + ck I), the diagonal shifted in place
-            am.reshape(a.shape[:-2] + (n * n,))[..., ::n + 1] += ck[..., None]
-            am = a @ am
-    coeffs = desc[..., ::-1]
+    coeffs = _char_coeffs(a)
     return MonicPolynomial(coeffs) if a.ndim == 2 else coeffs
+
+
+def _char_coeffs(a) -> np.ndarray:
+    """Ascending coefficients of det(lI - a), a finite square matrix or
+    stack, unchecked for overflow: a_{n-k} = -tr(a M_k) / k, M_1 = I,
+    M_{k+1} = a M_k + a_{n-k} I; src holds a M_k, and two buffers swap."""
+    n = a.shape[-1]
+    flat = a.shape[:-2] + (n * n,)
+    desc = np.empty(a.shape[:-1])
+    src, dst = a.copy(), np.empty(a.shape)  # src = a @ I
+    diag, spare = src.reshape(flat)[..., ::n + 1], dst.reshape(flat)[..., ::n + 1]
+    for k in range(1, n + 1):
+        # sum is trace's own add.reduce; negating first keeps a NaN's sign bit
+        ck = np.divide(-diag.sum(-1), k, out=desc[..., k - 1])
+        if k < n:  # M_{k+1} = src + ck I, in place on src's diagonal; dst = a M_{k+1}
+            diag += ck[..., None]
+            np.matmul(a, src, out=dst)
+            src, dst, diag, spare = dst, src, spare, diag
+    return desc[..., ::-1]
 
 
 def poly_roots(p: MonicPolynomial) -> np.ndarray:
@@ -202,7 +220,8 @@ def _roots(coeffs) -> np.ndarray:
     a = np.eye(p.size, k=-1)
     a[0] = -p[::-1]
     w = _per_slice(_umath_linalg.eigvals, a, signature="d->D", error="Eigenvalues did not converge")
-    return np.concatenate((w if w.imag.any() else w.real, np.zeros(coeffs.size - p.size)))
+    w = w if w.imag.any() else w.real
+    return w if p.size == coeffs.size else np.concatenate((w, np.zeros(coeffs.size - p.size)))
 
 
 def sort_complex_lex(z: np.ndarray) -> np.ndarray:
@@ -267,7 +286,7 @@ def numerical_rank(m, tol: float = DEFAULT_RANK_TOL):
     A stack of matrices gives an integer array of ranks.
     """
     _positive(tol, "tol")
-    return _scale_free(lambda s: np.count_nonzero(s > s.max(axis=-1, keepdims=True) * tol, axis=-1), m)
+    return _scale_free(lambda s: (s > s[..., :1] * tol).sum(axis=-1), m)  # s descends
 
 
 def condition_estimate(m):

@@ -21,7 +21,7 @@ from linident import (
     sample_continuous,
     simulate_discrete,
 )
-from linident.dynsys import _iterate, _powers
+from linident.dynsys import _iterate, _powers, _sampled_matrix, char_poly_of_sampled
 from _exact import bitwise_equal, fibonacci
 from _util import draw_discrete
 
@@ -384,3 +384,15 @@ class TestPowerKernel:
         for _ in range(20):
             a, b, c = rng.uniform(-1, 1, (n, n)), rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
             assert bitwise_equal(affine_offset(a, b, c), reference_affine_offset(a, b, c))
+
+
+@pytest.mark.parametrize("kind, step", [("discrete", None), ("continuous", 0.5)])
+def test_char_poly_of_sampled_is_its_row_of_the_stack(kind, step):
+    """The 2-D loop of ``char_poly_of_sampled`` gives the bits of the
+    matching row of ``char_poly`` on the stack of sampled matrices."""
+    rng = np.random.default_rng(41)
+    for n in range(1, 17):
+        specs = [SystemSpec(kind, a, np.ones(n), step=step) for a in rng.uniform(-1, 1, (4, n, n))]
+        stacked = char_poly(np.stack([_sampled_matrix(spec) for spec in specs]))
+        for spec, row in zip(specs, stacked):
+            assert bitwise_equal(char_poly_of_sampled(spec).coeffs, row)

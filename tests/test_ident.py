@@ -387,6 +387,18 @@ class TestEstimateOrder:
             assert size >= 2
         assert redone  # the last, overflowing series took the redo
 
+    def test_padding_masks_are_cached_and_read_only(self):
+        mask = ident._padding(9, 14)
+        assert mask is ident._padding(9, 14)
+        assert mask.shape == (5, 13, 13) and not mask.flags.writeable
+        assert [int(m.sum()) for m in mask] == [k * k for k in range(9, 14)]
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, 0, 0] = False
+        ident._padding.cache_clear()
+        with pytest.raises(NoOrderFound):  # blocks H_1-H_8, ..., H_57-H_64, H_65-H_71
+            estimate_order(TimeSeries(np.zeros(141)), 70)
+        assert ident._padding.cache_info().currsize == 8
+
     def test_geometric_series_stops_after_the_first_block(self, monkeypatch):
         ranked = self._record_ranks(monkeypatch)
         assert estimate_order(TimeSeries(0.5 ** np.arange(401)), 200) == 1

@@ -182,6 +182,10 @@ def unit_circle_model(n, offset):
     return PredictionModel(np.poly(roots)[::-1][:-1].real, offset=offset, step=STEP)
 
 
+class CompanionBuilt(Exception):
+    """``PredictionModel.companion`` was built where no test expects it."""
+
+
 @pytest.fixture
 def block_results(monkeypatch):
     """For each prediction whose ``dynsys._blocks`` built blocks (ran
@@ -234,13 +238,22 @@ def test_predict(series, block_results, n, offset):
 
 @pytest.mark.parametrize("n", NS)
 @pytest.mark.parametrize("offset", [None, OFFSET])
-def test_short_predictions_are_the_loop(series, block_results, n, offset):
+def test_short_predictions_are_the_loop(monkeypatch, series, block_results, n, offset):
+    """Up to ``_loop_length`` states (steps + 1), ``predict`` runs the loop
+    and builds no companion realisation; one state more, and it builds one."""
+    def built(model):
+        raise CompanionBuilt
+
     model = unit_circle_model(n, offset)
     seed = series.values[-n:]
-    for steps in (1, 3, dynsys._loop_length(n + (offset is not None)) - 1):
+    edge = dynsys._loop_length(n + (offset is not None))
+    monkeypatch.setattr(PredictionModel, "companion", property(built))
+    for steps in (1, 3, edge - 1):
         got = predict(model, seed, steps)
         assert bitwise_equal(got.values, reference_predict(model, seed, steps))
     assert block_results == []
+    with pytest.raises(CompanionBuilt):
+        predict(model, seed, edge)
 
 
 def test_clustered_slow_rotations_run_the_loop(block_results):
